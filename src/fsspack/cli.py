@@ -99,6 +99,13 @@ def _load_layout_and_instance(layout_path: str, instance_path: str | None):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    for flag, value in (
+        ("--iterations", args.iterations),
+        ("--replications", args.replications),
+        ("--workers", args.workers),
+    ):
+        if value < 1:
+            raise _CliError(f"{flag} must be at least 1, got {value}", USAGE_ERROR)
     instance, label, f_count = _resolve_problem(args.problem, args.fcount)
     sizes = _parse_n_list(args.n)
     out_dir = Path(args.out)

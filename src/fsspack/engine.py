@@ -11,13 +11,23 @@ layout seen.
 Replications are independent restarts.  Each draws its randomness from a
 counter-based stream keyed by (seed, replication index), so any subset of
 replications can be reproduced, serially or in parallel.
+
+While replications run, every OpenBLAS library in the process is held at
+one thread.  An idle OpenBLAS worker spins: left at its default, on a
+2-core machine, it doubled the CPU cost of searches at n = 10 and n = 40
+without shortening them, and it makes a process pool oversubscribe the
+cores.  Parallelism comes from `workers`.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +40,8 @@ _MASK64 = (1 << 64) - 1
 
 
 class EngineError(RuntimeError):
-    """Raised when a run cannot produce a feasible layout at all."""
+    """Raised when a run cannot produce a feasible layout at all, or loses a
+    replication to a worker that raised or died."""
 
 
 @dataclass
@@ -156,11 +167,86 @@ def run_replication(
     return Layout(best_centers.copy(), best_radius), traces
 
 
+# (get, set) thread-count entry points, under the names the OpenBLAS
+# builds in circulation export them: plain, scipy's wheels, and the
+# 64-bit-integer build that numpy's wheels ship.
+_OPENBLAS_THREAD_API = (
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+)
+
+
+@functools.cache
+def _openblas_controls() -> tuple[tuple[object, object], ...]:
+    """(get, set) thread-count functions of every OpenBLAS already loaded.
+
+    Looked up once, on first use, from the process's memory map, so it
+    is empty off Linux or under another BLAS.  numpy and scipy are
+    imported with this module, so their libraries are loaded by then.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        return ()
+    paths = dict.fromkeys(
+        f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5].lower()
+    )
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_API:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return tuple(controls)
+
+
+class _SerialBlas:
+    """Context manager holding every loaded OpenBLAS at one thread.
+
+    The thread count is process-wide, so overlapping runs on several
+    threads share one hold: the first to enter saves each library's count
+    and the last to leave restores it, also when the run raised.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved: tuple[int, ...] = ()
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._depth == 0:
+                controls = _openblas_controls()
+                self._saved = tuple(get() for get, _ in controls)
+                for _, set_threads in controls:
+                    set_threads(1)
+            self._depth += 1
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for (_, set_threads), count in zip(_openblas_controls(), self._saved):
+                    set_threads(count)
+
+
+_serial_blas = _SerialBlas()
+
+
 def _replication_job(
     instance: Instance, config: FssConfig, replication: int
-) -> tuple[int, Layout, list[IterationTrace]]:
-    layout, traces = run_replication(instance, config, replication_rng(config.seed, replication))
-    return replication, layout, traces
+) -> tuple[Layout, list[IterationTrace]]:
+    with _serial_blas:
+        return run_replication(instance, config, replication_rng(config.seed, replication))
 
 
 def _fallback_layout(instance: Instance, n: int) -> Layout:
@@ -193,23 +279,42 @@ def run(instance: Instance, config: FssConfig, workers: int = 1) -> RunReport:
     """All replications; the best corrected layout over every restart wins.
 
     Ties on radius go to the lowest replication index, so the outcome is
-    independent of worker scheduling.
+    independent of worker scheduling.  A replication that raises in a
+    worker, or a worker that dies, ends the run with an `EngineError`
+    naming the replication(s) lost.
     """
     started = time.perf_counter()
     outcomes: dict[int, tuple[Layout, list[IterationTrace]]] = {}
     if workers <= 1:
-        for rep in range(config.replications):
-            rng = replication_rng(config.seed, rep)
-            outcomes[rep] = run_replication(instance, config, rng)
+        with _serial_blas:
+            for rep in range(config.replications):
+                rng = replication_rng(config.seed, rep)
+                outcomes[rep] = run_replication(instance, config, rng)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_replication_job, instance, config, rep)
-                for rep in range(config.replications)
-            ]
-            for future in futures:
-                rep, layout, traces = future.result()
-                outcomes[rep] = (layout, traces)
+            futures = []
+            try:
+                for rep in range(config.replications):
+                    futures.append(pool.submit(_replication_job, instance, config, rep))
+                for rep, future in enumerate(futures):
+                    outcomes[rep] = future.result()
+            except BrokenProcessPool as exc:
+                # The pool may break while jobs are still being submitted, and
+                # it cannot say which job killed its worker: every replication
+                # not submitted or not finished is lost.
+                finished = {
+                    r for r, f in enumerate(futures)
+                    if f.done() and not f.cancelled() and f.exception() is None
+                }
+                lost = ", ".join(
+                    str(r) for r in range(config.replications) if r not in finished
+                )
+                raise EngineError(
+                    f"a worker process died; replications {lost} did not finish"
+                ) from exc
+            except Exception as exc:
+                pool.shutdown(cancel_futures=True)
+                raise EngineError(f"replication {rep} failed in a worker: {exc!r}") from exc
 
     best_rep = 0
     best_layout = outcomes[0][0]

@@ -84,13 +84,25 @@ def test_run_is_deterministic(tmp_path):
     assert (out_a / "problem3-n2.json").read_bytes() == (out_b / "problem3-n2.json").read_bytes()
 
 
-def test_run_usage_errors(tmp_path):
+def test_run_usage_errors(tmp_path, capsys):
     out = str(tmp_path / "res")
     assert run_cli("run", "--problem", "9", "--n", "2", "--out", out, *BUDGET) == 2
     assert run_cli("run", "--problem", "2", "--fcount", "5", "--n", "2", "--out", out, *BUDGET) == 2
     assert run_cli("run", "--problem", "2", "--n", "0", "--out", out, *BUDGET) == 2
     assert run_cli("run", "--problem", "2", "--n", "2,x", "--out", out, *BUDGET) == 2
     assert run_cli("run", "--problem", str(tmp_path / "nope.json"), "--n", "2", "--out", out, *BUDGET) == 2
+    capsys.readouterr()
+    # Budget and worker counts below 1 are usage errors, reported on one line.
+    for flag, value in (
+        ("--iterations", "0"),
+        ("--replications", "-1"),
+        ("--workers", "0"),
+        ("--workers", "-3"),
+    ):
+        argv = ["run", "--problem", "2", "--n", "2", "--out", out, *BUDGET, flag, value]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {flag} must be at least 1, got {value}\n"
     with pytest.raises(SystemExit) as exc:
         run_cli("run", "--problem", "2")
     assert exc.value.code == 2

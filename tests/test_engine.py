@@ -1,10 +1,16 @@
 """Search driver: randomness contracts, replications, and run reports."""
 
 import math
+import multiprocessing
+import os
+import re
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+from fsspack import engine
 from fsspack.engine import (
     EngineError,
     FssConfig,
@@ -177,3 +183,104 @@ def test_fallback_layout_on_hopeless_geometry():
     cfg = FssConfig(n=2, iterations=1, replications=1, seed=0, solver=FAST)
     report = run(inst, cfg)
     assert verify_layout(report.best_layout, inst, 0.0).feasible
+
+
+def blas_threads():
+    return [get() for get, _ in engine._openblas_controls()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every loaded OpenBLAS at two threads, so a restore to 1 would show."""
+    controls = engine._openblas_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded in this process")
+    saved = blas_threads()
+    for _, set_threads in controls:
+        set_threads(2)
+    yield blas_threads()
+    for (_, set_threads), count in zip(controls, saved):
+        set_threads(count)
+
+
+def test_run_holds_blas_at_one_thread(two_blas_threads, monkeypatch):
+    seen = []
+    real_solve = engine.solve
+
+    def recording_solve(*args, **kwargs):
+        seen.append(blas_threads())
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "solve", recording_solve)
+    inst = builtin_instance(2)
+    cfg = FssConfig(n=2, iterations=2, replications=2, seed=3, solver=FAST)
+    run(inst, cfg)
+    assert len(seen) == 4
+    engine._replication_job(inst, cfg, 1)
+    assert len(seen) == 6
+    assert all(count == 1 for counts in seen for count in counts)
+    assert blas_threads() == two_blas_threads
+
+
+def test_run_restores_blas_threads_after_a_raise(two_blas_threads, monkeypatch):
+    def failing_solve(*args, **kwargs):
+        raise RuntimeError("solver blew up")
+
+    monkeypatch.setattr(engine, "solve", failing_solve)
+    cfg = FssConfig(n=2, iterations=1, replications=1, seed=0, solver=FAST)
+    with pytest.raises(RuntimeError, match="solver blew up"):
+        run(builtin_instance(2), cfg)
+    assert blas_threads() == two_blas_threads
+
+
+def fail_on_replication_1(monkeypatch, failure):
+    """Patch run_replication so that replication 1 fails; forked workers inherit it."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patch reaches pool workers only when they are forked")
+    real = engine.run_replication
+
+    def flaky(instance, config, rng):
+        # The stream's key is (seed, replication).
+        if int(rng.bit_generator.state["state"]["key"][1]) == 1:
+            failure()
+        return real(instance, config, rng)
+
+    monkeypatch.setattr(engine, "run_replication", flaky)
+
+
+def test_worker_exception_names_the_replication(monkeypatch):
+    def boom():
+        raise ValueError("bad replication")
+
+    fail_on_replication_1(monkeypatch, boom)
+    cfg = FssConfig(n=2, iterations=1, replications=3, seed=0, solver=FAST)
+    with pytest.raises(EngineError, match=r"replication 1 failed in a worker: ValueError"):
+        run(builtin_instance(2), cfg, workers=2)
+
+
+def test_dead_worker_names_the_replication(monkeypatch):
+    fail_on_replication_1(monkeypatch, lambda: os._exit(3))
+    cfg = FssConfig(n=2, iterations=1, replications=3, seed=0, solver=FAST)
+    with pytest.raises(EngineError, match=r"worker process died") as exc:
+        run(builtin_instance(2), cfg, workers=2)
+    # Replications running beside the dead one are lost with it.
+    lost = re.search(r"replications ([\d, ]+) did not finish", str(exc.value)).group(1)
+    assert "1" in lost.split(", ")
+
+
+def test_pool_broken_during_submission_names_the_unsubmitted(monkeypatch):
+    class BreaksOnThirdSubmit(ProcessPoolExecutor):
+        submitted = 0
+
+        def submit(self, *args, **kwargs):
+            if self.submitted == 2:
+                raise BrokenProcessPool("a worker died at start-up")
+            self.submitted += 1
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", BreaksOnThirdSubmit)
+    cfg = FssConfig(n=2, iterations=1, replications=4, seed=0, solver=FAST)
+    with pytest.raises(EngineError, match=r"worker process died") as exc:
+        run(builtin_instance(2), cfg, workers=2)
+    lost = re.search(r"replications ([\d, ]+) did not finish", str(exc.value)).group(1)
+    assert {"2", "3"} <= set(lost.split(", "))
