@@ -17,17 +17,8 @@ from fsspack import (
     radius_upper_bound,
     solve,
 )
+from fsspack.formulation import FAMILY_CONTAINMENT, FAMILY_PAIR, FAMILY_PROHIBITED
 from fsspack.geometry import correct_radius
-
-FAMILY_NAMES = {
-    2: "containment (cartesian)",
-    3: "containment (polar)",
-    4: "separation (cart/cart)",
-    5: "separation (cart/polar)",
-    6: "separation (polar/polar)",
-    7: "clearance (cartesian)",
-    8: "clearance (polar)",
-}
 
 
 def main() -> None:
@@ -54,10 +45,9 @@ def main() -> None:
     problem = build_nlp(instance, assignment, current, delta, pairs, r_cap)
     print(f"variables: {problem.nv} (radius + two per circle)")
     print("constraint rows by family:")
-    for family in sorted(FAMILY_NAMES):
+    for family in (FAMILY_CONTAINMENT, FAMILY_PAIR, FAMILY_PROHIBITED):
         count = sum(1 for fam, _ in problem.tags if fam == family)
-        if count:
-            print(f"  {FAMILY_NAMES[family]:26s} {count}")
+        print(f"  {family:12s} {count}")
 
     result = solve(problem, problem.pack_start(centers, 0.0))
     corrected = correct_radius(problem.extract_centers(result.point), instance)

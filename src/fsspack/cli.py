@@ -149,7 +149,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.tol < 0.0:
+    if not (args.tol >= 0.0):
         raise _CliError(f"--tol must be nonnegative, got {args.tol}", USAGE_ERROR)
     layout, instance = _load_layout_and_instance(args.layout, args.instance)
     report = verify_layout(layout, instance, args.tol)

@@ -7,17 +7,33 @@ inequality program in the canonical orientation g(z) >= 0.
 
 Variable layout: the common radius first, then (x, y) per Cartesian
 circle in index order, then (r, theta) per polar circle in index order.
-Movement limits fold into the variable bounds, so the nonlinear
-constraints are exactly the containment, separation and clearance
-families.  Constraint families are evaluated as blocks of numpy index
-arrays; the analytic derivatives share one code path with the values.
+Slot k of that circle order owns variables 1 + 2k and 2 + 2k.  Movement
+limits fold into the variable bounds, so the nonlinear constraints are
+exactly three families: containment in the unit disk, separation of
+circle pairs, and clearance from prohibited disks.
+
+The coordinate choice is a change of variables and nothing more.  Each
+evaluation maps every slot's two variables to its centre (x, y) once:
+the identity for Cartesian slots, (r cos theta, r sin theta) for polar
+ones, whose 2x2 derivative [[cos theta, -y], [sin theta, x]] needs no
+more than the map itself computed.  The three families are evaluated in
+Cartesian form only; their weighted row gradients are summed per slot
+with np.bincount and pulled back through the 2x2 derivatives.  Polar
+containment is the one exception: it keeps its linear form 1 - R - r,
+which is exact and, unlike 1 - R - |(x, y)|, smooth at the origin.
+
+Finiteness is checked once per use.  constraint_values raises
+EvaluationError naming the family and circles of the first non-finite
+row; the merit function leaves the check to its caller, whose single
+test of the merit value and gradient suffices (see
+NlpProblem.augmented_lagrangian).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,13 +42,9 @@ from .geometry import Instance, Layout, TWO_PI
 ROOT2 = math.sqrt(2.0)
 
 # Constraint family ids, used in tags and diagnostics.
-FAMILY_CONTAINMENT_CART = 2
-FAMILY_CONTAINMENT_POLAR = 3
-FAMILY_PAIR_CART_CART = 4
-FAMILY_PAIR_CART_POLAR = 5
-FAMILY_PAIR_POLAR_POLAR = 6
-FAMILY_PROHIBITED_CART = 7
-FAMILY_PROHIBITED_POLAR = 8
+FAMILY_CONTAINMENT = "containment"
+FAMILY_PAIR = "pair"
+FAMILY_PROHIBITED = "prohibited"
 
 
 class EvaluationError(RuntimeError):
@@ -113,215 +125,170 @@ def prune_pairs(
 class NlpProblem:
     """One smooth inequality program: maximise the common radius.
 
-    Built by build_nlp; evaluation methods are vectorised per constraint
-    family.  Public data: n, nv, m, lower, upper, tags, cart, polar,
-    var_a, var_b (first and second variable slot per circle), r_cap.
+    Built by build_nlp.  Public data: n, nv, m, lower, upper, tags, cart,
+    polar, var_a, var_b (index of each circle's first and second
+    variable), r_cap.  Rows come in family order: containment for every
+    circle in slot order, then one separation row per retained circle
+    pair, then one clearance row per retained (circle, prohibited disk)
+    pair.
     """
 
     def __init__(
         self,
-        n: int,
         cart: np.ndarray,
         polar: np.ndarray,
-        var_a: np.ndarray,
-        var_b: np.ndarray,
         lower: np.ndarray,
         upper: np.ndarray,
-        tags: list[tuple[int, tuple[int, ...]]],
+        tags: list[tuple[str, tuple[int, ...]]],
         r_cap: float,
-        blocks: dict,
+        circle_pairs: np.ndarray,
+        clearances: np.ndarray,
+        disks: np.ndarray,
     ) -> None:
-        self.n = n
         self.cart = cart
         self.polar = polar
-        self.var_a = var_a
-        self.var_b = var_b
         self.lower = lower
         self.upper = upper
         self.tags = tags
         self.r_cap = r_cap
+        self.n = n = len(cart) + len(polar)
         self.nv = 2 * n + 1
-        self.m = len(tags)
-        self._b2 = blocks["eq2"]
-        self._b3 = blocks["eq3"]
-        self._cc = blocks["cc"]
-        self._cp = blocks["cp"]
-        self._pp = blocks["pp"]
-        self._cf = blocks["cf"]
-        self._pf = blocks["pf"]
-        self._build_entries()
+        self.m = m = len(tags)
+        self._nc = nc = len(cart)
+        self._order = np.concatenate((cart, polar))
+        slot = np.empty(n, dtype=np.intp)
+        slot[self._order] = np.arange(n)
+        self.var_a = 1 + 2 * slot
+        self.var_b = 2 + 2 * slot
 
-    # -- jacobian entry bookkeeping ------------------------------------
+        # Rows and slots of the separation and clearance families.
+        q = len(circle_pairs)
+        self._pairs = slice(n, n + q)
+        self._prohibited = slice(n + q, m)
+        self._pair_i = slot[circle_pairs[:, 0]]
+        self._pair_j = slot[circle_pairs[:, 1]]
+        self._clear_i = slot[clearances]
+        self._disk_x = disks[:, 0].copy()
+        self._disk_y = disks[:, 1].copy()
+        self._disk_r = disks[:, 2].copy()
 
-    def _build_entries(self) -> None:
-        # Flat (row, col) arrays for every nonzero jacobian entry, in a
-        # fixed family order; _fill_derivs writes the matching values.
-        rows = []
-        cols = []
-        views = []
-        start = 0
+        # Each (row, slot) pair where a row depends on a centre: Cartesian
+        # containment, both ends of every pair, every clearance.  No row
+        # touches one slot twice.
+        pair_rows = np.arange(n, n + q)
+        self._touch_row = np.concatenate(
+            (np.arange(nc), pair_rows, pair_rows, np.arange(n + q, m))
+        )
+        self._touch_slot = np.concatenate(
+            (np.arange(nc), self._pair_i, self._pair_j, self._clear_i)
+        )
 
-        def add(pos: np.ndarray, col_stack: list[np.ndarray]) -> None:
-            nonlocal start
-            width = len(col_stack)
-            q = len(pos)
-            if q == 0:
-                views.append(None)
-                return
-            rows.append(np.repeat(pos, width))
-            cols.append(np.column_stack(col_stack).ravel())
-            views.append((start, q, width))
-            start += q * width
+    # -- the coordinate map ---------------------------------------------
 
-        zeros = lambda q: np.zeros(q, dtype=np.intp)
-        pos2, cx2, cy2 = self._b2
-        add(pos2, [zeros(len(pos2)), cx2, cy2])
-        pos3, cr3 = self._b3
-        add(pos3, [zeros(len(pos3)), cr3])
-        poscc, ix, iy, jx, jy = self._cc
-        add(poscc, [zeros(len(poscc)), ix, iy, jx, jy])
-        poscp, cx, cy, pr, pt = self._cp
-        add(poscp, [zeros(len(poscp)), cx, cy, pr, pt])
-        pospp, ir, it, jr, jt = self._pp
-        add(pospp, [zeros(len(pospp)), ir, it, jr, jt])
-        poscf, fix, fiy, _, _, _ = self._cf
-        add(poscf, [zeros(len(poscf)), fix, fiy])
-        pospf, pir, pit, _, _, _ = self._pf
-        add(pospf, [zeros(len(pospf)), pir, pit])
+    def _centres(self, z: np.ndarray) -> tuple:
+        """Centre (x, y) per slot, and cos/sin of theta per polar slot."""
+        nc = self._nc
+        x = z[1::2].copy()
+        y = z[2::2].copy()
+        r = z[1 + 2 * nc :: 2]
+        cos_t = np.cos(y[nc:])
+        sin_t = np.sin(y[nc:])
+        x[nc:] = r * cos_t
+        y[nc:] = r * sin_t
+        return x, y, cos_t, sin_t
 
-        if rows:
-            self._entry_rows = np.concatenate(rows)
-            self._entry_cols = np.concatenate(cols)
-        else:
-            self._entry_rows = np.empty(0, dtype=np.intp)
-            self._entry_cols = np.empty(0, dtype=np.intp)
-        self._entry_vals = np.zeros(start, dtype=float)
-        self._views = [
-            None if v is None else self._entry_vals[v[0] : v[0] + v[1] * v[2]].reshape(v[1], v[2])
-            for v in views
-        ]
+    def _pull_back(self, out: np.ndarray, centres: tuple) -> None:
+        """Turn Cartesian partials into variable partials, in place.
+
+        The last axis of out has the variable layout.  On entry each
+        slot holds partials by (x, y), afterwards by its own variables;
+        Cartesian slots map by the identity, so only polar ones change.
+        """
+        x, y, cos_t, sin_t = centres
+        nc = self._nc
+        gx = out[..., 1 + 2 * nc :: 2]
+        gy = out[..., 2 + 2 * nc :: 2]
+        g_r = gx * cos_t + gy * sin_t
+        g_theta = gy * x[nc:] - gx * y[nc:]
+        gx[...] = g_r
+        gy[...] = g_theta
 
     # -- evaluation -----------------------------------------------------
 
-    def constraint_values(self, z: np.ndarray, derivs: bool = False) -> np.ndarray:
-        """All constraint values g(z) in canonical order.
+    def _evaluate(self, z: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """Row values and the partials their derivatives need.
 
-        With derivs=True the jacobian entry buffer is refreshed as a side
-        effect; values and derivatives share the intermediate quantities.
+        Returns (values, partials) with partials = (d_radius, d_x, d_y,
+        centres): the radius partial per row, the Cartesian partials per
+        (row, slot) touch, and the mapped centres.
         """
+        nc, n = self._nc, self.n
         radius = z[0]
-        vals = np.empty(self.m, dtype=float)
-        v2, v3, vcc, vcp, vpp, vcf, vpf = self._views
-        four_r2 = 4.0 * radius * radius
+        centres = self._centres(z)
+        x, y = centres[0], centres[1]
+        values = np.empty(self.m, dtype=float)
+        d_radius = np.empty(self.m, dtype=float)
 
-        pos, colx, coly = self._b2
-        if len(pos):
-            x = z[colx]
-            y = z[coly]
-            vals[pos] = (1.0 - radius) ** 2 - x * x - y * y
-            if derivs:
-                v2[:, 0] = -2.0 * (1.0 - radius)
-                v2[:, 1] = -2.0 * x
-                v2[:, 2] = -2.0 * y
+        xc, yc = x[:nc], y[:nc]
+        values[:nc] = (1.0 - radius) ** 2 - xc * xc - yc * yc
+        d_radius[:nc] = -2.0 * (1.0 - radius)
+        values[nc:n] = (1.0 - radius) - z[1 + 2 * nc :: 2]
+        d_radius[nc:n] = -1.0
 
-        pos, colr = self._b3
-        if len(pos):
-            vals[pos] = (1.0 - radius) - z[colr]
-            if derivs:
-                v3[:, 0] = -1.0
-                v3[:, 1] = -1.0
+        dx = x[self._pair_i] - x[self._pair_j]
+        dy = y[self._pair_i] - y[self._pair_j]
+        values[self._pairs] = dx * dx + dy * dy - 4.0 * radius * radius
+        d_radius[self._pairs] = -8.0 * radius
 
-        pos, ix, iy, jx, jy = self._cc
-        if len(pos):
-            dx = z[ix] - z[jx]
-            dy = z[iy] - z[jy]
-            vals[pos] = dx * dx + dy * dy - four_r2
-            if derivs:
-                vcc[:, 0] = -8.0 * radius
-                vcc[:, 1] = 2.0 * dx
-                vcc[:, 2] = 2.0 * dy
-                vcc[:, 3] = -2.0 * dx
-                vcc[:, 4] = -2.0 * dy
+        u = x[self._clear_i] - self._disk_x
+        v = y[self._clear_i] - self._disk_y
+        rr = radius + self._disk_r
+        values[self._prohibited] = u * u + v * v - rr * rr
+        d_radius[self._prohibited] = -2.0 * rr
 
-        pos, cx, cy, pr, pt = self._cp
-        if len(pos):
-            r = z[pr]
-            cos_t = np.cos(z[pt])
-            sin_t = np.sin(z[pt])
-            u = z[cx] - r * cos_t
-            v = z[cy] - r * sin_t
-            vals[pos] = u * u + v * v - four_r2
-            if derivs:
-                vcp[:, 0] = -8.0 * radius
-                vcp[:, 1] = 2.0 * u
-                vcp[:, 2] = 2.0 * v
-                vcp[:, 3] = -2.0 * (u * cos_t + v * sin_t)
-                vcp[:, 4] = 2.0 * r * (u * sin_t - v * cos_t)
+        d_x = np.concatenate((-2.0 * xc, 2.0 * dx, -2.0 * dx, 2.0 * u))
+        d_y = np.concatenate((-2.0 * yc, 2.0 * dy, -2.0 * dy, 2.0 * v))
+        return values, (d_radius, d_x, d_y, centres)
 
-        pos, ir, it, jr, jt = self._pp
-        if len(pos):
-            ri = z[ir]
-            rj = z[jr]
-            dt = z[it] - z[jt]
-            cos_dt = np.cos(dt)
-            sin_dt = np.sin(dt)
-            vals[pos] = ri * ri + rj * rj - 2.0 * ri * rj * cos_dt - four_r2
-            if derivs:
-                vpp[:, 0] = -8.0 * radius
-                vpp[:, 1] = 2.0 * ri - 2.0 * rj * cos_dt
-                vpp[:, 2] = 2.0 * ri * rj * sin_dt
-                vpp[:, 3] = 2.0 * rj - 2.0 * ri * cos_dt
-                vpp[:, 4] = -2.0 * ri * rj * sin_dt
+    def _gradient(self, partials: tuple, weights: np.ndarray) -> np.ndarray:
+        """Gradient of -R - weights @ g from the partials of _evaluate."""
+        d_radius, d_x, d_y, centres = partials
+        w_touch = weights[self._touch_row]
+        grad = np.empty(self.nv, dtype=float)
+        grad[0] = weights @ d_radius
+        grad[1::2] = np.bincount(self._touch_slot, weights=w_touch * d_x, minlength=self.n)
+        grad[2::2] = np.bincount(self._touch_slot, weights=w_touch * d_y, minlength=self.n)
+        self._pull_back(grad, centres)
+        grad[1 + 2 * self._nc :: 2] -= weights[self._nc : self.n]
+        np.negative(grad, out=grad)
+        grad[0] -= 1.0
+        return grad
 
-        pos, ix, iy, fx, fy, fr = self._cf
-        if len(pos):
-            u = z[ix] - fx
-            v = z[iy] - fy
-            rr = radius + fr
-            vals[pos] = u * u + v * v - rr * rr
-            if derivs:
-                vcf[:, 0] = -2.0 * rr
-                vcf[:, 1] = 2.0 * u
-                vcf[:, 2] = 2.0 * v
-
-        pos, ir, it, fdist, ftheta, fr = self._pf
-        if len(pos):
-            ri = z[ir]
-            dt = z[it] - ftheta
-            cos_dt = np.cos(dt)
-            sin_dt = np.sin(dt)
-            rr = radius + fr
-            vals[pos] = ri * ri + fdist * fdist - 2.0 * ri * fdist * cos_dt - rr * rr
-            if derivs:
-                vpf[:, 0] = -2.0 * rr
-                vpf[:, 1] = 2.0 * ri - 2.0 * fdist * cos_dt
-                vpf[:, 2] = 2.0 * ri * fdist * sin_dt
-
-        if not np.all(np.isfinite(vals)):
-            bad = int(np.argmin(np.isfinite(vals)))
-            family, who = self.tags[bad]
+    def _require_finite(self, row_ok: np.ndarray, what: str) -> None:
+        if not row_ok.all():
+            family, who = self.tags[int(np.argmin(row_ok))]
             raise EvaluationError(
-                f"non-finite value in family-{family} constraint for indices {who}"
+                f"non-finite {what} in {family} family constraint for indices {who}"
             )
-        return vals
+
+    def constraint_values(self, z: np.ndarray) -> np.ndarray:
+        """All constraint values g(z) in canonical order."""
+        values, _ = self._evaluate(z)
+        self._require_finite(np.isfinite(values), "value")
+        return values
 
     def jacobian(self, z: np.ndarray) -> np.ndarray:
         """Dense constraint jacobian, rows in canonical order."""
-        self.constraint_values(z, derivs=True)
-        if not np.all(np.isfinite(self._entry_vals)):
-            bad = int(self._entry_rows[np.argmin(np.isfinite(self._entry_vals))])
-            family, who = self.tags[bad]
-            raise EvaluationError(
-                f"non-finite derivative in family-{family} constraint for indices {who}"
-            )
+        _, (d_radius, d_x, d_y, centres) = self._evaluate(z)
         out = np.zeros((self.m, self.nv), dtype=float)
-        out[self._entry_rows, self._entry_cols] = self._entry_vals
+        out[:, 0] = d_radius
+        out[self._touch_row, 1 + 2 * self._touch_slot] = d_x
+        out[self._touch_row, 2 + 2 * self._touch_slot] = d_y
+        self._pull_back(out, centres)
+        polar = np.arange(self._nc, self.n)
+        out[polar, 1 + 2 * polar] = -1.0
+        self._require_finite(np.isfinite(out).all(axis=1), "derivative")
         return out
-
-    def weighted_constraint_gradient(self, weights: np.ndarray) -> np.ndarray:
-        """J(z)^T @ weights using the entry buffer from the last derivs pass."""
-        contrib = self._entry_vals * weights[self._entry_rows]
-        return np.bincount(self._entry_cols, weights=contrib, minlength=self.nv)
 
     def augmented_lagrangian(
         self, z: np.ndarray, multipliers: np.ndarray, penalty: float
@@ -330,21 +297,26 @@ class NlpProblem:
 
         Minimising -R subject to g >= 0 turns into
         -R + (||max(0, lambda - rho*g)||^2 - ||lambda||^2) / (2*rho).
+
+        Nothing here checks finiteness: the caller's one check of the
+        value and gradient is enough.  Inside the finite bounds every row
+        is finite, and a non-finite entry of z always reaches the value
+        or the gradient.  R enters the value directly.  A Cartesian
+        coordinate drives its containment row to -inf or NaN, which
+        w = max(0, lambda - rho*g) carries into the value as +inf or
+        NaN.  A polar r or theta that is not finite leaves x or y of its
+        centre non-finite, and then so is the theta entry of the
+        gradient, gy*x - gx*y, since 0*inf is NaN.
         """
-        g = self.constraint_values(z, derivs=True)
-        w = multipliers - penalty * g
+        values, partials = self._evaluate(z)
+        w = multipliers - penalty * values
         np.maximum(w, 0.0, out=w)
         value = -z[0] + (w @ w - multipliers @ multipliers) / (2.0 * penalty)
-        grad = -self.weighted_constraint_gradient(w)
-        grad[0] -= 1.0
-        return float(value), grad
+        return float(value), self._gradient(partials, w)
 
     def lagrangian_gradient(self, z: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
         """Gradient of -R - multipliers @ g at z."""
-        self.constraint_values(z, derivs=True)
-        grad = -self.weighted_constraint_gradient(multipliers)
-        grad[0] -= 1.0
-        return grad
+        return self._gradient(self._evaluate(z)[1], multipliers)
 
     def linear_violations(self, z: np.ndarray) -> np.ndarray:
         """Signed violations in distance units, canonical order.
@@ -352,69 +324,43 @@ class NlpProblem:
         Positive means violated; this matches the verifier's semantics,
         unlike the raw squared constraint values.
         """
+        nc, n = self._nc, self.n
         radius = z[0]
+        x, y, _, _ = self._centres(z)
         out = np.empty(self.m, dtype=float)
-
-        pos, colx, coly = self._b2
-        if len(pos):
-            out[pos] = np.hypot(z[colx], z[coly]) + radius - 1.0
-        pos, colr = self._b3
-        if len(pos):
-            out[pos] = z[colr] + radius - 1.0
-        pos, ix, iy, jx, jy = self._cc
-        if len(pos):
-            out[pos] = 2.0 * radius - np.hypot(z[ix] - z[jx], z[iy] - z[jy])
-        pos, cx, cy, pr, pt = self._cp
-        if len(pos):
-            u = z[cx] - z[pr] * np.cos(z[pt])
-            v = z[cy] - z[pr] * np.sin(z[pt])
-            out[pos] = 2.0 * radius - np.hypot(u, v)
-        pos, ir, it, jr, jt = self._pp
-        if len(pos):
-            d2 = (
-                z[ir] ** 2
-                + z[jr] ** 2
-                - 2.0 * z[ir] * z[jr] * np.cos(z[it] - z[jt])
-            )
-            out[pos] = 2.0 * radius - np.sqrt(np.maximum(d2, 0.0))
-        pos, ix, iy, fx, fy, fr = self._cf
-        if len(pos):
-            out[pos] = radius + fr - np.hypot(z[ix] - fx, z[iy] - fy)
-        pos, ir, it, fdist, ftheta, fr = self._pf
-        if len(pos):
-            d2 = z[ir] ** 2 + fdist**2 - 2.0 * z[ir] * fdist * np.cos(z[it] - ftheta)
-            out[pos] = radius + fr - np.sqrt(np.maximum(d2, 0.0))
+        out[:nc] = np.hypot(x[:nc], y[:nc]) + radius - 1.0
+        out[nc:n] = z[1 + 2 * nc :: 2] + radius - 1.0
+        out[self._pairs] = 2.0 * radius - np.hypot(
+            x[self._pair_i] - x[self._pair_j], y[self._pair_i] - y[self._pair_j]
+        )
+        out[self._prohibited] = radius + self._disk_r - np.hypot(
+            x[self._clear_i] - self._disk_x, y[self._clear_i] - self._disk_y
+        )
         return out
 
     # -- layout glue ----------------------------------------------------
 
     def pack_start(self, centers: np.ndarray, radius: float) -> np.ndarray:
         """Start vector from Cartesian centres plus a radius guess."""
+        nc = self._nc
         z = np.empty(self.nv, dtype=float)
         z[0] = radius
-        if len(self.cart):
-            z[self.var_a[self.cart]] = centers[self.cart, 0]
-            z[self.var_b[self.cart]] = centers[self.cart, 1]
-        if len(self.polar):
-            x = centers[self.polar, 0]
-            y = centers[self.polar, 1]
-            z[self.var_a[self.polar]] = np.hypot(x, y)
-            theta = np.arctan2(y, x)
-            theta[theta < 0.0] += TWO_PI
-            z[self.var_b[self.polar]] = theta
+        z[1::2] = centers[self._order, 0]
+        z[2::2] = centers[self._order, 1]
+        x, y = z[1 + 2 * nc :: 2], z[2 + 2 * nc :: 2]
+        r = np.hypot(x, y)
+        theta = np.arctan2(y, x)
+        theta[theta < 0.0] += TWO_PI
+        x[:] = r
+        y[:] = theta
         return z
 
     def extract_centers(self, z: np.ndarray) -> np.ndarray:
         """Cartesian centres of all circles at the point z."""
+        x, y, _, _ = self._centres(z)
         out = np.empty((self.n, 2), dtype=float)
-        if len(self.cart):
-            out[self.cart, 0] = z[self.var_a[self.cart]]
-            out[self.cart, 1] = z[self.var_b[self.cart]]
-        if len(self.polar):
-            r = z[self.var_a[self.polar]]
-            theta = z[self.var_b[self.polar]]
-            out[self.polar, 0] = r * np.cos(theta)
-            out[self.polar, 1] = r * np.sin(theta)
+        out[self._order, 0] = x
+        out[self._order, 1] = y
         return out
 
 
@@ -445,104 +391,42 @@ def build_nlp(
 
     cart = np.array(assignment.cart, dtype=np.intp)
     polar = np.array(assignment.polar, dtype=np.intp)
-    in_cart = np.zeros(n, dtype=bool)
-    in_cart[cart] = True
 
-    var_a = np.full(n, -1, dtype=np.intp)
-    var_b = np.full(n, -1, dtype=np.intp)
-    slot = 1
-    for i in assignment.cart:
-        var_a[i], var_b[i] = slot, slot + 1
-        slot += 2
-    for i in assignment.polar:
-        var_a[i], var_b[i] = slot, slot + 1
-        slot += 2
-
-    nv = 2 * n + 1
-    lower = np.empty(nv, dtype=float)
-    upper = np.empty(nv, dtype=float)
+    # Bounds in the variable layout: (x, y) per Cartesian slot, then
+    # (r, theta) per polar slot.
+    nc = len(cart)
+    lower = np.empty(2 * n + 1, dtype=float)
+    upper = np.empty(2 * n + 1, dtype=float)
     lower[0], upper[0] = 0.0, r_cap
-    if len(cart):
-        cx = current.centers[cart, 0]
-        cy = current.centers[cart, 1]
-        lower[var_a[cart]] = np.maximum(-1.0, cx - delta)
-        upper[var_a[cart]] = np.minimum(1.0, cx + delta)
-        lower[var_b[cart]] = np.maximum(-1.0, cy - delta)
-        upper[var_b[cart]] = np.minimum(1.0, cy + delta)
-    if len(polar):
-        lower[var_a[polar]] = 0.0
-        upper[var_a[polar]] = 1.0
-        lower[var_b[polar]] = 0.0
-        upper[var_b[polar]] = TWO_PI
+    boxed = current.centers[cart]
+    lower[1 : 1 + 2 * nc] = np.maximum(-1.0, boxed - delta).ravel()
+    upper[1 : 1 + 2 * nc] = np.minimum(1.0, boxed + delta).ravel()
+    lower[1 + 2 * nc :] = 0.0
+    upper[1 + 2 * nc :: 2] = 1.0
+    upper[2 + 2 * nc :: 2] = TWO_PI
 
-    fc = instance.prohibited_centers()
-    fr = instance.prohibited_radii()
-    fdist, ftheta = instance.prohibited_polar()
-    k = fc.shape[0]
-
-    tags: list[tuple[int, tuple[int, ...]]] = []
-    row = 0
-    pos2 = np.arange(len(cart), dtype=np.intp)
-    for i in assignment.cart:
-        tags.append((FAMILY_CONTAINMENT_CART, (i,)))
-    row += len(cart)
-    pos3 = np.arange(row, row + len(polar), dtype=np.intp)
-    for i in assignment.polar:
-        tags.append((FAMILY_CONTAINMENT_POLAR, (i,)))
-    row += len(polar)
-
-    cc_rows: list[tuple[int, int, int]] = []
-    cp_rows: list[tuple[int, int, int]] = []
-    pp_rows: list[tuple[int, int, int]] = []
+    k = instance.f_count
+    tags: list[tuple[str, tuple[int, ...]]] = [
+        (FAMILY_CONTAINMENT, (i,)) for i in assignment.cart + assignment.polar
+    ]
     for i, j in pairs.circle_pairs:
         if not (0 <= i < n and 0 <= j < n and i != j):
             raise ValueError(f"pair ({i}, {j}) references circles outside the assignment")
-        if in_cart[i] and in_cart[j]:
-            cc_rows.append((row, i, j))
-            tags.append((FAMILY_PAIR_CART_CART, (i, j)))
-        elif in_cart[i]:
-            cp_rows.append((row, i, j))
-            tags.append((FAMILY_PAIR_CART_POLAR, (i, j)))
-        elif in_cart[j]:
-            cp_rows.append((row, j, i))
-            tags.append((FAMILY_PAIR_CART_POLAR, (i, j)))
-        else:
-            pp_rows.append((row, i, j))
-            tags.append((FAMILY_PAIR_POLAR_POLAR, (i, j)))
-        row += 1
-
-    cf_rows: list[tuple[int, int, int]] = []
-    pf_rows: list[tuple[int, int, int]] = []
+        tags.append((FAMILY_PAIR, (i, j)))
     for i, f in pairs.prohibited_pairs:
         if not (0 <= i < n and 0 <= f < k):
             raise ValueError(f"pair ({i}, {f}) references an unknown circle or disk")
-        if in_cart[i]:
-            cf_rows.append((row, i, f))
-            tags.append((FAMILY_PROHIBITED_CART, (i, f)))
-        else:
-            pf_rows.append((row, i, f))
-            tags.append((FAMILY_PROHIBITED_POLAR, (i, f)))
-        row += 1
+        tags.append((FAMILY_PROHIBITED, (i, f)))
 
-    def ids(rows_list: list[tuple[int, int, int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        arr = np.array(rows_list, dtype=np.intp).reshape(-1, 3)
-        return arr[:, 0], arr[:, 1], arr[:, 2]
-
-    blocks = {}
-    blocks["eq2"] = (pos2, var_a[cart], var_b[cart])
-    blocks["eq3"] = (pos3, var_a[polar])
-    p, i_, j_ = ids(cc_rows)
-    blocks["cc"] = (p, var_a[i_], var_b[i_], var_a[j_], var_b[j_])
-    p, i_, j_ = ids(cp_rows)
-    blocks["cp"] = (p, var_a[i_], var_b[i_], var_a[j_], var_b[j_])
-    p, i_, j_ = ids(pp_rows)
-    blocks["pp"] = (p, var_a[i_], var_b[i_], var_a[j_], var_b[j_])
-    p, i_, f_ = ids(cf_rows)
-    blocks["cf"] = (p, var_a[i_], var_b[i_], fc[f_, 0], fc[f_, 1], fr[f_])
-    p, i_, f_ = ids(pf_rows)
-    blocks["pf"] = (p, var_a[i_], var_b[i_], fdist[f_], ftheta[f_], fr[f_])
-
-    return NlpProblem(n, cart, polar, var_a, var_b, lower, upper, tags, r_cap, blocks)
+    circle_pairs = np.array(pairs.circle_pairs, dtype=np.intp).reshape(-1, 2)
+    clear = np.array(pairs.prohibited_pairs, dtype=np.intp).reshape(-1, 2)
+    f = clear[:, 1]
+    disks = np.column_stack(
+        (instance.prohibited_centers()[f], instance.prohibited_radii()[f])
+    )
+    return NlpProblem(
+        cart, polar, lower, upper, tags, r_cap, circle_pairs, clear[:, 0], disks
+    )
 
 
 def evaluate(

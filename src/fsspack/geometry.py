@@ -107,14 +107,6 @@ class Instance:
     def prohibited_radii(self) -> np.ndarray:
         return np.array([f.radius for f in self.prohibited], dtype=float)
 
-    def prohibited_polar(self) -> tuple[np.ndarray, np.ndarray]:
-        """Polar form of the prohibited centres: (distances, angles)."""
-        centers = self.prohibited_centers()
-        dist = np.hypot(centers[:, 0], centers[:, 1])
-        theta = np.arctan2(centers[:, 1], centers[:, 0])
-        theta[theta < 0.0] += TWO_PI
-        return dist, theta
-
     def max_prohibited_radius(self) -> float:
         return max((f.radius for f in self.prohibited), default=0.0)
 
@@ -296,7 +288,7 @@ def verify_layout(layout: Layout, instance: Instance, tol: float) -> Feasibility
     disk.  All arithmetic runs in extended precision so tolerance zero is
     meaningful for corrected layouts.
     """
-    if tol < 0.0:
+    if not (tol >= 0.0):
         raise ValueError(f"tolerance must be nonnegative, got {tol}")
     pts = layout.centers
     n = layout.n

@@ -102,9 +102,11 @@ def solve(
     """
     opts = options or SolverOptions()
     lower, upper = problem.lower, problem.upper
+    # Check before clipping: np.clip would broadcast a scalar or a
+    # length-1 start to the full shape.
+    if np.shape(start) != (problem.nv,):
+        raise ValueError(f"start must have shape ({problem.nv},), got {np.shape(start)}")
     z = np.clip(np.asarray(start, dtype=float), lower, upper)
-    if z.shape != (problem.nv,):
-        raise ValueError(f"start must have shape ({problem.nv},), got {z.shape}")
 
     multipliers = np.zeros(problem.m, dtype=float)
     penalty = opts.initial_penalty
@@ -113,6 +115,8 @@ def solve(
     bounds = Bounds(lower, upper)
 
     def merit(point: np.ndarray) -> tuple[float, np.ndarray]:
+        # The only finiteness check of a merit evaluation; the docstring of
+        # NlpProblem.augmented_lagrangian says why it catches every case.
         value, grad = problem.augmented_lagrangian(point, multipliers, penalty)
         if not np.isfinite(value) or not np.all(np.isfinite(grad)):
             raise _NonFiniteMerit

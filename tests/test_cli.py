@@ -142,6 +142,7 @@ def test_verify_catches_inflated_radius(tmp_path, capsys):
 def test_verify_usage_errors(tmp_path):
     layout_path = layout_fixture(tmp_path)
     assert run_cli("verify", str(layout_path), "--tol", "-1") == 2
+    assert run_cli("verify", str(layout_path), "--tol", "nan") == 2
     assert run_cli("verify", str(tmp_path / "missing.json")) == 2
     bad = tmp_path / "broken.json"
     bad.write_text("{\"instance\": \"problem2\"}")

@@ -6,13 +6,9 @@ import numpy as np
 import pytest
 
 from fsspack.formulation import (
-    FAMILY_CONTAINMENT_CART,
-    FAMILY_CONTAINMENT_POLAR,
-    FAMILY_PAIR_CART_CART,
-    FAMILY_PAIR_CART_POLAR,
-    FAMILY_PAIR_POLAR_POLAR,
-    FAMILY_PROHIBITED_CART,
-    FAMILY_PROHIBITED_POLAR,
+    FAMILY_CONTAINMENT,
+    FAMILY_PAIR,
+    FAMILY_PROHIBITED,
     Assignment,
     EvaluationError,
     PairSets,
@@ -76,21 +72,21 @@ def test_value_containment_cartesian():
     z = p.pack_start(np.array([[0.3, 0.4]]), 0.2)
     g = p.constraint_values(z)
     # (1 - 0.2)^2 - 0.3^2 - 0.4^2
-    assert g[row_of(p, FAMILY_CONTAINMENT_CART, (0,))] == pytest.approx(0.39, abs=1e-15)
+    assert g[row_of(p, FAMILY_CONTAINMENT, (0,))] == pytest.approx(0.39, abs=1e-15)
 
 
 def test_value_containment_polar():
     p = build_simple(Assignment((), (0,)), [(0.5, 0.0)])
     z = p.pack_start(np.array([[0.5, 0.0]]), 0.2)
     g = p.constraint_values(z)
-    assert g[row_of(p, FAMILY_CONTAINMENT_POLAR, (0,))] == pytest.approx(0.3, abs=1e-15)
+    assert g[row_of(p, FAMILY_CONTAINMENT, (0,))] == pytest.approx(0.3, abs=1e-15)
 
 
 def test_value_pair_cart_cart():
     p = build_simple(Assignment((0, 1), ()), [(0.0, 0.0), (1.0, 0.0)])
     z = p.pack_start(np.array([[0.0, 0.0], [1.0, 0.0]]), 0.25)
     g = p.constraint_values(z)
-    assert g[row_of(p, FAMILY_PAIR_CART_CART, (0, 1))] == 0.75
+    assert g[row_of(p, FAMILY_PAIR, (0, 1))] == 0.75
 
 
 def test_value_pair_polar_polar():
@@ -98,14 +94,14 @@ def test_value_pair_polar_polar():
     z = p.pack_start(np.array([[0.5, 0.0], [-0.5, 0.0]]), 0.5)
     g = p.constraint_values(z)
     # Antipodal at radius 0.5: separation exactly matches touching circles.
-    assert g[row_of(p, FAMILY_PAIR_POLAR_POLAR, (0, 1))] == 0.0
+    assert g[row_of(p, FAMILY_PAIR, (0, 1))] == 0.0
 
 
 def test_value_pair_cart_polar():
     p = build_simple(Assignment((0,), (1,)), [(0.5, 0.0), (-0.5, 0.0)])
     z = p.pack_start(np.array([[0.5, 0.0], [-0.5, 0.0]]), 0.25)
     g = p.constraint_values(z)
-    assert g[row_of(p, FAMILY_PAIR_CART_POLAR, (0, 1))] == pytest.approx(0.75, abs=1e-12)
+    assert g[row_of(p, FAMILY_PAIR, (0, 1))] == pytest.approx(0.75, abs=1e-12)
 
 
 def test_value_prohibited_cartesian():
@@ -113,7 +109,7 @@ def test_value_prohibited_cartesian():
     p = build_simple(Assignment((0,), ()), [(0.5, 0.0)], inst)
     z = p.pack_start(np.array([[0.5, 0.0]]), 0.1)
     g = p.constraint_values(z)
-    assert g[row_of(p, FAMILY_PROHIBITED_CART, (0, 0))] == pytest.approx(0.16, abs=1e-15)
+    assert g[row_of(p, FAMILY_PROHIBITED, (0, 0))] == pytest.approx(0.16, abs=1e-15)
 
 
 def test_value_prohibited_polar():
@@ -121,21 +117,7 @@ def test_value_prohibited_polar():
     p = build_simple(Assignment((), (0,)), [(0.6, 0.0)], inst)
     z = p.pack_start(np.array([[0.6, 0.0]]), 0.2)
     g = p.constraint_values(z)
-    assert g[row_of(p, FAMILY_PROHIBITED_POLAR, (0, 0))] == pytest.approx(0.52, abs=1e-12)
-
-
-CONTAINMENT = {FAMILY_CONTAINMENT_CART, FAMILY_CONTAINMENT_POLAR}
-PAIRS = {FAMILY_PAIR_CART_CART, FAMILY_PAIR_CART_POLAR, FAMILY_PAIR_POLAR_POLAR}
-PROHIBITED = {FAMILY_PROHIBITED_CART, FAMILY_PROHIBITED_POLAR}
-
-
-def kind_of(family):
-    if family in CONTAINMENT:
-        return "containment"
-    if family in PAIRS:
-        return "pair"
-    assert family in PROHIBITED
-    return "prohibited"
+    assert g[row_of(p, FAMILY_PROHIBITED, (0, 0))] == pytest.approx(0.52, abs=1e-12)
 
 
 def test_coordinate_systems_agree():
@@ -151,7 +133,7 @@ def test_coordinate_systems_agree():
     ):
         p = build_simple(a, centers, inst)
         lv = p.linear_violations(p.pack_start(centers, 0.17))
-        tagged.append({(kind_of(f), who): lv[i] for i, (f, who) in enumerate(p.tags)})
+        tagged.append(dict(zip(p.tags, lv)))
     assert tagged[0].keys() == tagged[1].keys() == tagged[2].keys()
     for key, value in tagged[0].items():
         assert tagged[1][key] == pytest.approx(value, abs=1e-12), key
@@ -289,13 +271,24 @@ def test_pack_extract_round_trip():
     assert np.allclose(back, centers, atol=1e-15)
 
 
+def test_pack_extract_round_trip_at_polar_seams():
+    # theta just above 0, theta just below 2*pi, and r = 0 must pack into
+    # the polar box and map back to the same centres.
+    centers = np.array([[0.5, 1e-17], [0.5, -1e-17], [0.0, 0.0]])
+    p = build_simple(Assignment((), (0, 1, 2)), centers)
+    z = p.pack_start(centers, 0.1)
+    assert np.all(z >= p.lower) and np.all(z <= p.upper)
+    assert z[p.var_a[2]] == 0.0
+    assert np.allclose(p.extract_centers(z), centers, rtol=0.0, atol=1e-15)
+
+
 def test_linear_violations_match_geometry():
     centers = np.array([[0.25, 0.0], [-0.25, 0.0]])
     p = build_simple(Assignment((0, 1), ()), centers)
     z = p.pack_start(centers, 0.3)
     lv = p.linear_violations(z)
-    pair_row = row_of(p, FAMILY_PAIR_CART_CART, (0, 1))
-    cont_row = row_of(p, FAMILY_CONTAINMENT_CART, (0,))
+    pair_row = row_of(p, FAMILY_PAIR, (0, 1))
+    cont_row = row_of(p, FAMILY_CONTAINMENT, (0,))
     # Overlap by 0.1 in distance units; containment has 0.45 slack.
     assert lv[pair_row] == pytest.approx(0.1, abs=1e-15)
     assert lv[cont_row] == pytest.approx(-0.45, abs=1e-15)
@@ -331,14 +324,43 @@ def test_constraint_values_reject_non_finite():
         p.constraint_values(z)
 
 
-def test_jacobian_matches_weighted_gradient():
-    # weighted_constraint_gradient must equal w @ jacobian.
+def test_merit_gradient_matches_jacobian():
+    # Both gradients pull rows back through the coordinate map; the dense
+    # jacobian places the same partials entry by entry.
     rng = np.random.default_rng(5)
-    centers = rng.uniform(-0.5, 0.5, size=(3, 2))
-    p = build_simple(Assignment((0,), (1, 2)), centers)
+    inst = Instance("d", [disk(0.1, -0.2, 0.15)])
+    centers = rng.uniform(-0.5, 0.5, size=(4, 2))
+    p = build_simple(Assignment((0, 3), (1, 2)), centers, inst)
     z = p.pack_start(centers, 0.15)
-    p.constraint_values(z, derivs=True)
-    w = rng.standard_normal(p.m)
-    want = w @ p.jacobian(z)
-    got = p.weighted_constraint_gradient(w)
-    assert np.allclose(got, want, atol=1e-12)
+    jac = p.jacobian(z)
+    multipliers = np.abs(rng.standard_normal(p.m))
+    penalty = 10.0
+    w = np.maximum(0.0, multipliers - penalty * p.constraint_values(z))
+    assert w.any() and not w.all()
+    _, grad = p.augmented_lagrangian(z, multipliers, penalty)
+    want = -(w @ jac)
+    want[0] -= 1.0
+    assert np.allclose(grad, want, rtol=0.0, atol=1e-12)
+    want = -(multipliers @ jac)
+    want[0] -= 1.0
+    assert np.allclose(p.lagrangian_gradient(z, multipliers), want, rtol=0.0, atol=1e-12)
+
+
+def test_program_without_pairs_or_disks():
+    # Both pair families empty: only containment rows, one of them polar.
+    centers = np.array([[0.2, -0.1], [-0.3, 0.4]])
+    p = build_simple(Assignment((0,), (1,)), centers, pairs=PairSets([], []))
+    assert [family for family, _ in p.tags] == [FAMILY_CONTAINMENT] * 2
+    z = p.pack_start(centers, 0.25)
+    g = p.constraint_values(z)
+    assert g[row_of(p, FAMILY_CONTAINMENT, (1,))] == pytest.approx(0.25, abs=1e-15)
+    jac = p.jacobian(z)
+    assert jac.shape == (2, 5)
+    multipliers = np.array([0.5, 2.0])
+    value, grad = p.augmented_lagrangian(z, multipliers, 10.0)
+    w = np.maximum(0.0, multipliers - 10.0 * g)
+    want = -(w @ jac)
+    want[0] -= 1.0
+    assert np.isfinite(value)
+    assert np.allclose(grad, want, rtol=0.0, atol=1e-12)
+    assert np.allclose(p.extract_centers(z), centers, rtol=0.0, atol=1e-15)

@@ -81,12 +81,8 @@ def test_prohibited_circle_validation():
     assert not ProhibitedCircle(CartesianPoint(0.9, 0.0), 0.2).is_vacuous()
 
 
-def test_instance_polar_view():
+def test_instance_prohibited_accessors():
     inst = single_disk(-0.5, 0.25, 0.1)
-    dist, theta = inst.prohibited_polar()
-    assert dist[0] == pytest.approx(math.hypot(0.5, 0.25))
-    want = math.atan2(0.25, -0.5)
-    assert theta[0] == pytest.approx(want if want >= 0 else want + 2 * math.pi)
     assert inst.f_count == 1
     assert inst.max_prohibited_radius() == 0.1
     assert EMPTY.prohibited_centers().shape == (0, 2)
@@ -226,6 +222,9 @@ def test_verify_layout_feasible_roundoff_free():
 def test_verify_layout_rejects_negative_tol():
     with pytest.raises(ValueError):
         verify_layout(Layout(np.array([[0.0, 0.0]]), 0.1), EMPTY, -1e-9)
+    # NaN fails every comparison, so it must not slip past as "not negative".
+    with pytest.raises(ValueError):
+        verify_layout(Layout(np.array([[0.0, 0.0]]), 0.1), EMPTY, math.nan)
 
 
 def test_feasibility_report_to_dict_round_trips_json():

@@ -197,3 +197,8 @@ def test_solve_rejects_bad_start_shape():
     p = build_for([(0.3, 0.2)], Assignment((0,), ()))
     with pytest.raises(ValueError):
         solve(p, np.zeros(7))
+    # np.clip would broadcast these to the right shape.
+    with pytest.raises(ValueError):
+        solve(p, np.zeros(1))
+    with pytest.raises(ValueError):
+        solve(p, np.float64(0.2))
