@@ -12,7 +12,6 @@ from fsspack import (
     Instance,
     Layout,
     ProhibitedCircle,
-    cart_to_polar,
     correct_radius,
     format_radius,
     verify_layout,
@@ -20,12 +19,6 @@ from fsspack import (
 
 
 def main() -> None:
-    print("== coordinate conversions ==")
-    p = CartesianPoint(-0.6, 0.45)
-    pol = cart_to_polar(p)
-    print(f"cartesian ({p.x}, {p.y}) -> polar (r={pol.r:.6f}, theta={pol.theta:.6f})")
-
-    print()
     print("== radius correction ==")
     instance = Instance("demo", [ProhibitedCircle(CartesianPoint(0.0, 0.0), 0.25)])
     centers = np.array([[0.62, 0.0], [-0.62, 0.0], [0.0, 0.62], [0.0, -0.62]])

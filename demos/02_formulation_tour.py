@@ -9,7 +9,6 @@ import numpy as np
 
 from fsspack import (
     Assignment,
-    FssConfig,
     Layout,
     build_nlp,
     builtin_instance,
@@ -17,6 +16,7 @@ from fsspack import (
     radius_upper_bound,
     solve,
 )
+from fsspack.engine import DELTA_FACTOR
 from fsspack.formulation import FAMILY_CONTAINMENT, FAMILY_PAIR, FAMILY_PROHIBITED
 from fsspack.geometry import correct_radius
 
@@ -31,7 +31,7 @@ def main() -> None:
     current = Layout(centers, 0.0)
 
     r_cap = radius_upper_bound(instance, n)
-    delta = (2.0 / 3.0) * r_cap
+    delta = DELTA_FACTOR * r_cap
     assignment = Assignment((0, 2, 4), (1, 3, 5))
     print(f"instance {instance.name}: {instance.f_count} prohibited disks, "
           f"radius cap {r_cap:.6f}, box half-width {delta:.6f}")

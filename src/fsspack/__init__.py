@@ -33,15 +33,12 @@ from .geometry import (
     Instance,
     Layout,
     LayoutFormatError,
-    PolarPoint,
     ProhibitedCircle,
-    cart_to_polar,
     correct_radius,
     format_radius,
     layout_from_dict,
     layout_to_dict,
     load_layout,
-    polar_to_cart,
     radius_upper_bound,
     save_layout,
     verify_layout,
@@ -61,7 +58,6 @@ from .solver import (
     CONVERGED,
     ITERATION_LIMIT,
     NUMERICAL_FAILURE,
-    SolverOptions,
     SolverResult,
     gradient_check,
     solve,
@@ -86,17 +82,14 @@ __all__ = [
     "NlpProblem",
     "NUMERICAL_FAILURE",
     "PairSets",
-    "PolarPoint",
     "ProhibitedCircle",
     "ResultRow",
     "RunReport",
-    "SolverOptions",
     "SolverResult",
     "UnknownInstanceError",
     "build_nlp",
     "builtin_catalogue",
     "builtin_instance",
-    "cart_to_polar",
     "correct_radius",
     "evaluate",
     "format_radius",
@@ -106,7 +99,6 @@ __all__ = [
     "layout_to_dict",
     "load_instance",
     "load_layout",
-    "polar_to_cart",
     "prune_pairs",
     "radius_upper_bound",
     "random_assignment",

@@ -30,7 +30,6 @@ from .instances import (
 )
 from .render import render_svg
 from .reporting import ResultRow, write_results_csv, write_results_json
-from .solver import SolverOptions
 
 USAGE_ERROR = 2
 
@@ -119,7 +118,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             iterations=args.iterations,
             replications=args.replications,
             seed=args.seed,
-            solver=SolverOptions(),
         )
         report = run(instance, config, workers=args.workers)
         layout_path = out_dir / f"{instance.name}-n{n}.json"

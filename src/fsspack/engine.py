@@ -3,8 +3,8 @@
 Every iteration re-poses the problem before solving it again: each circle
 is randomly flipped between Cartesian and polar coordinates, and the
 Cartesian centres are only allowed to move inside a box whose half-width
-shrinks with the best corrected radius.  The solver's point is adopted
-whether or not it improved, so the search keeps drifting through
+is DELTA_FACTOR times the last corrected radius.  The solver's point is
+adopted whether or not it improved, so the search keeps drifting through
 formulation space; the corrected radius decides what counts as the best
 layout seen.
 
@@ -28,15 +28,20 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .formulation import Assignment, build_nlp, prune_pairs
 from .geometry import Instance, Layout, TWO_PI, correct_radius, radius_upper_bound, verify_layout
-from .solver import NUMERICAL_FAILURE, SolverOptions, solve
+from .solver import NUMERICAL_FAILURE, solve
 
 _MASK64 = (1 << 64) - 1
+
+# Half-width of the box each Cartesian centre may move in, as a fraction
+# of the last corrected radius (of the radius upper bound before the first
+# solve).
+DELTA_FACTOR = 2.0 / 3.0
 
 
 class EngineError(RuntimeError):
@@ -52,16 +57,12 @@ class FssConfig:
     iterations: int = 80
     replications: int = 25
     seed: int = 0
-    delta_factor: float = 2.0 / 3.0
-    solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"need at least one circle, got n={self.n}")
         if self.iterations < 1 or self.replications < 1:
             raise ValueError("iterations and replications must be at least 1")
-        if not (self.delta_factor > 0.0):
-            raise ValueError(f"delta factor must be positive, got {self.delta_factor}")
 
 
 @dataclass
@@ -124,7 +125,7 @@ def run_replication(
     r_cap = radius_upper_bound(instance, n)
     current = random_initial_layout(rng, n)
     assignment = random_assignment(rng, n)
-    delta = config.delta_factor * r_cap
+    delta = DELTA_FACTOR * r_cap
 
     best_radius = 0.0
     best_centers = current.centers.copy()
@@ -136,7 +137,7 @@ def run_replication(
         pairs = prune_pairs(current, assignment, delta, r_cap, instance)
         problem = build_nlp(instance, assignment, current, delta, pairs, r_cap)
         start = problem.pack_start(current.centers, min(max(previous_r_star, 0.0), r_cap))
-        result = solve(problem, start, config.solver)
+        result = solve(problem, start)
 
         if result.status == NUMERICAL_FAILURE:
             new_centers = current.centers
@@ -159,7 +160,7 @@ def run_replication(
             )
         )
 
-        delta = config.delta_factor * r_star
+        delta = DELTA_FACTOR * r_star
         previous_r_star = r_star
         current = Layout(new_centers, r_star)
         assignment = random_assignment(rng, n)
@@ -250,18 +251,8 @@ def _replication_job(
 
 
 def _fallback_layout(instance: Instance, n: int) -> Layout:
-    """n coincident centres at some point feasible for radius zero."""
-    fc = instance.prohibited_centers()
-    fr = instance.prohibited_radii()
-
-    def clear(x: float, y: float) -> bool:
-        if math.hypot(x, y) > 1.0 - 1e-9:
-            return False
-        if fc.shape[0] == 0:
-            return True
-        d = np.hypot(fc[:, 0] - x, fc[:, 1] - y)
-        return bool(np.all(d >= fr + 1e-12))
-
+    """n coincident centres at the first candidate point with a positive
+    corrected radius, so the layout verifies at tolerance zero."""
     candidates = [
         (0.999999 * math.cos(a), 0.999999 * math.sin(a))
         for a in np.linspace(0.0, TWO_PI, 720, endpoint=False)
@@ -270,9 +261,12 @@ def _fallback_layout(instance: Instance, n: int) -> Layout:
         for other in np.linspace(-0.9, 0.9, 19):
             candidates.append((float(step), float(other)))
     for x, y in candidates:
-        if clear(x, y):
+        if correct_radius(np.array([[x, y]]), instance) > 0.0:
             return Layout(np.tile([x, y], (n, 1)), 0.0)
-    raise EngineError("no feasible point exists for a zero-radius layout")
+    raise EngineError(
+        "no candidate point on the fallback grid clears every prohibited disk, "
+        "so no zero-radius layout was found"
+    )
 
 
 def run(instance: Instance, config: FssConfig, workers: int = 1) -> RunReport:

@@ -45,33 +45,6 @@ class CartesianPoint:
 
 
 @dataclass(frozen=True)
-class PolarPoint:
-    """Radial distance and angle in radians, normalised to [0, 2*pi]."""
-
-    r: float
-    theta: float
-
-    def __post_init__(self) -> None:
-        if not (self.r >= 0.0):
-            raise ValueError(f"radial distance must be nonnegative, got {self.r}")
-        if not (0.0 <= self.theta <= TWO_PI):
-            raise ValueError(f"angle must lie in [0, 2*pi], got {self.theta}")
-
-
-def cart_to_polar(p: CartesianPoint) -> PolarPoint:
-    """Convert to polar form.  The origin maps to (r=0, theta=0)."""
-    r = math.hypot(p.x, p.y)
-    theta = math.atan2(p.y, p.x)
-    if theta < 0.0:
-        theta += TWO_PI
-    return PolarPoint(r, theta)
-
-
-def polar_to_cart(p: PolarPoint) -> CartesianPoint:
-    return CartesianPoint(p.r * math.cos(p.theta), p.r * math.sin(p.theta))
-
-
-@dataclass(frozen=True)
 class ProhibitedCircle:
     """A fixed circular disk the packed circles must stay clear of."""
 

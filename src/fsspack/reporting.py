@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -53,16 +53,5 @@ def write_results_csv(rows: list[ResultRow], path: Union[str, Path]) -> None:
 
 def write_results_json(rows: list[ResultRow], path: Union[str, Path]) -> None:
     """JSON table with the radius at full precision."""
-    doc = [
-        {
-            "problem": row.problem,
-            "f_count": row.f_count,
-            "n": row.n,
-            "best_radius": row.best_radius,
-            "total_time_s": row.total_time_s,
-            "replication_of_best": row.replication_of_best,
-            "seed": row.seed,
-        }
-        for row in rows
-    ]
+    doc = [asdict(row) for row in rows]
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -8,7 +8,17 @@ whenever feasibility stalls, following the usual two-track tolerance
 schedule.  Infeasible starts are fine: the merit function is defined
 everywhere and the first outer rounds simply buy feasibility.
 
-The solver is deterministic: identical problem, start and options give a
+The schedule is fixed, as in the paper's search:
+
+- at most 50 outer rounds, each an L-BFGS-B run of at most 500
+  iterations (5000 merit calls);
+- converged when the worst constraint violation and the projected
+  Lagrangian gradient are both at most 1e-8;
+- penalty 10 at the start, multiplied by 10 whenever a round misses
+  its feasibility target and by 1000 once the objective stalls, and
+  capped at 1e14.
+
+The solver is deterministic: identical problem and start give a
 bit-identical result.
 """
 
@@ -25,28 +35,14 @@ CONVERGED = "converged"
 ITERATION_LIMIT = "iteration_limit"
 NUMERICAL_FAILURE = "numerical_failure"
 
+_MAX_OUTER = 50
+_MAX_INNER = 500
+_KKT_TOL = 1e-8
+_FEAS_TOL = 1e-8
+_INITIAL_PENALTY = 10.0
+_PENALTY_GROWTH = 10.0
 # Penalty values past this point only add rounding noise.
 _PENALTY_CAP = 1e14
-
-
-@dataclass
-class SolverOptions:
-    max_outer_iterations: int = 50
-    max_inner_iterations: int = 500
-    kkt_tolerance: float = 1e-8
-    feasibility_tolerance: float = 1e-8
-    initial_penalty: float = 10.0
-    penalty_growth: float = 10.0
-
-    def __post_init__(self) -> None:
-        if self.max_outer_iterations < 1 or self.max_inner_iterations < 1:
-            raise ValueError("iteration limits must be at least 1")
-        if self.kkt_tolerance <= 0.0 or self.feasibility_tolerance <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.initial_penalty <= 0.0:
-            raise ValueError("initial penalty must be positive")
-        if self.penalty_growth <= 1.0:
-            raise ValueError("penalty growth must exceed 1")
 
 
 @dataclass
@@ -68,12 +64,12 @@ def _projected_gradient_norm(
     return float(np.max(np.abs(z - np.clip(z - grad, lower, upper)), initial=0.0))
 
 
-def solve(
-    problem: NlpProblem,
-    start: np.ndarray,
-    options: SolverOptions | None = None,
-    check_monotone: bool = False,
-) -> SolverResult:
+def _targets(penalty: float) -> tuple[float, float]:
+    """Feasibility and stationarity targets for a freshly set penalty."""
+    return max(penalty**-0.1, 0.1 * _FEAS_TOL), max(1.0 / penalty, 0.1 * _KKT_TOL)
+
+
+def solve(problem: NlpProblem, start: np.ndarray) -> SolverResult:
     """Maximise the common radius from the given start point.
 
     Parameters
@@ -82,11 +78,6 @@ def solve(
         Program to solve; bounds and constraint families come from it.
     start : array
         Start vector, clamped into the variable bounds.
-    options : SolverOptions, optional
-        Tolerances and iteration limits.
-    check_monotone : bool, optional
-        Assert that no inner minimisation increases its own merit value.
-        Meant for tests; off by default.
 
     Returns
     -------
@@ -100,7 +91,6 @@ def solve(
     stalled at the arithmetic floor: when the objective stops moving the
     loop exits early rather than burning the remaining outer rounds.
     """
-    opts = options or SolverOptions()
     lower, upper = problem.lower, problem.upper
     # Check before clipping: np.clip would broadcast a scalar or a
     # length-1 start to the full shape.
@@ -109,9 +99,8 @@ def solve(
     z = np.clip(np.asarray(start, dtype=float), lower, upper)
 
     multipliers = np.zeros(problem.m, dtype=float)
-    penalty = opts.initial_penalty
-    feas_target = penalty**-0.1
-    stat_target = 1.0 / penalty
+    penalty = _INITIAL_PENALTY
+    feas_target, stat_target = _targets(penalty)
     bounds = Bounds(lower, upper)
 
     def merit(point: np.ndarray) -> tuple[float, np.ndarray]:
@@ -124,14 +113,13 @@ def solve(
 
     status = ITERATION_LIMIT
     violation = float("inf")
-    outer_used = opts.max_outer_iterations
+    outer_used = _MAX_OUTER
     previous_objective = float("inf")
     stalled_rounds = 0
 
-    for outer in range(1, opts.max_outer_iterations + 1):
-        inner_gtol = max(stat_target, 0.1 * opts.kkt_tolerance)
+    for outer in range(1, _MAX_OUTER + 1):
+        inner_gtol = max(stat_target, 0.1 * _KKT_TOL)
         try:
-            merit_before = merit(z)[0] if check_monotone else None
             result = minimize(
                 merit,
                 z,
@@ -139,8 +127,8 @@ def solve(
                 method="L-BFGS-B",
                 bounds=bounds,
                 options={
-                    "maxiter": opts.max_inner_iterations,
-                    "maxfun": 10 * opts.max_inner_iterations,
+                    "maxiter": _MAX_INNER,
+                    "maxfun": 10 * _MAX_INNER,
                     "ftol": 1e-14,
                     "gtol": inner_gtol,
                     "maxcor": 12,
@@ -149,13 +137,6 @@ def solve(
             candidate = np.clip(result.x, lower, upper)
             if not np.all(np.isfinite(candidate)):
                 raise _NonFiniteMerit
-            if check_monotone:
-                merit_after = merit(candidate)[0]
-                slack = 1e-9 * (1.0 + abs(merit_before))
-                assert merit_after <= merit_before + slack, (
-                    f"inner minimisation increased the merit: "
-                    f"{merit_before} -> {merit_after}"
-                )
         except (_NonFiniteMerit, EvaluationError, FloatingPointError, np.linalg.LinAlgError):
             status = NUMERICAL_FAILURE
             outer_used = outer
@@ -169,18 +150,17 @@ def solve(
         grad_lag = problem.lagrangian_gradient(z, candidate_multipliers)
         stationarity = _projected_gradient_norm(z, grad_lag, lower, upper)
 
-        if violation <= max(feas_target, opts.feasibility_tolerance):
+        if violation <= max(feas_target, _FEAS_TOL):
             multipliers = candidate_multipliers
-            if violation <= opts.feasibility_tolerance and stationarity <= opts.kkt_tolerance:
+            if violation <= _FEAS_TOL and stationarity <= _KKT_TOL:
                 status = CONVERGED
                 outer_used = outer
                 break
-            feas_target = max(feas_target / penalty**0.9, 0.1 * opts.feasibility_tolerance)
-            stat_target = max(stat_target / penalty, 0.1 * opts.kkt_tolerance)
+            feas_target = max(feas_target / penalty**0.9, 0.1 * _FEAS_TOL)
+            stat_target = max(stat_target / penalty, 0.1 * _KKT_TOL)
         else:
-            penalty = min(penalty * opts.penalty_growth, _PENALTY_CAP)
-            feas_target = max(penalty**-0.1, 0.1 * opts.feasibility_tolerance)
-            stat_target = max(1.0 / penalty, 0.1 * opts.kkt_tolerance)
+            penalty = min(penalty * _PENALTY_GROWTH, _PENALTY_CAP)
+            feas_target, stat_target = _targets(penalty)
 
         # Degenerate active sets make the multiplier iteration cycle, so
         # the stationarity target can be unreachable in double precision.
@@ -188,7 +168,7 @@ def solve(
         # boost the penalty once to squeeze the residual violation, then
         # stop after the next round instead of burning the full budget.
         if (
-            violation <= opts.feasibility_tolerance
+            violation <= _FEAS_TOL
             and abs(z[0] - previous_objective) <= 1e-8 * (1.0 + abs(z[0]))
         ):
             stalled_rounds += 1
@@ -197,13 +177,10 @@ def solve(
         previous_objective = z[0]
         if stalled_rounds == 2:
             penalty = min(penalty * 1.0e3, _PENALTY_CAP)
-            feas_target = max(penalty**-0.1, 0.1 * opts.feasibility_tolerance)
-            stat_target = max(1.0 / penalty, 0.1 * opts.kkt_tolerance)
+            feas_target, stat_target = _targets(penalty)
         elif stalled_rounds >= 3:
             outer_used = outer
             break
-    else:
-        outer_used = opts.max_outer_iterations
 
     if violation == float("inf"):
         # No inner round completed; report the start point's violation.

@@ -28,11 +28,8 @@ from fsspack.geometry import (
     verify_layout,
 )
 from fsspack.instances import builtin_instance
-from fsspack.solver import SolverOptions
 
 EMPTY = Instance("empty", [])
-
-FAST = SolverOptions(max_outer_iterations=20, max_inner_iterations=200)
 
 
 class StubRng:
@@ -98,13 +95,11 @@ def test_fss_config_validates():
         FssConfig(n=1, iterations=0)
     with pytest.raises(ValueError):
         FssConfig(n=1, replications=0)
-    with pytest.raises(ValueError):
-        FssConfig(n=1, delta_factor=0.0)
 
 
 def test_replication_is_deterministic():
     inst = builtin_instance(2)
-    cfg = FssConfig(n=3, iterations=4, replications=1, seed=9, solver=FAST)
+    cfg = FssConfig(n=3, iterations=4, replications=1, seed=9)
     lay1, tr1 = run_replication(inst, cfg, replication_rng(9, 0))
     lay2, tr2 = run_replication(inst, cfg, replication_rng(9, 0))
     assert np.array_equal(lay1.centers, lay2.centers)
@@ -114,7 +109,7 @@ def test_replication_is_deterministic():
 
 def test_replication_traces_are_coherent():
     inst = builtin_instance(2)
-    cfg = FssConfig(n=3, iterations=5, replications=1, seed=2, solver=FAST)
+    cfg = FssConfig(n=3, iterations=5, replications=1, seed=2)
     r_cap = radius_upper_bound(inst, 3)
     lay, traces = run_replication(inst, cfg, replication_rng(2, 0))
     assert len(traces) == 5
@@ -128,14 +123,14 @@ def test_replication_traces_are_coherent():
         assert t.elapsed >= 0.0
     # The first trace records the starting box half-width; later ones
     # shrink it from the previous corrected radius.
-    assert traces[0].delta == pytest.approx(cfg.delta_factor * r_cap)
-    assert traces[1].delta == pytest.approx(cfg.delta_factor * traces[0].r_star)
+    assert traces[0].delta == pytest.approx(engine.DELTA_FACTOR * r_cap)
+    assert traces[1].delta == pytest.approx(engine.DELTA_FACTOR * traces[0].r_star)
     assert lay.radius == traces[-1].r_best
 
 
 def test_run_report_and_feasibility():
     inst = builtin_instance(2)
-    cfg = FssConfig(n=2, iterations=3, replications=3, seed=4, solver=FAST)
+    cfg = FssConfig(n=2, iterations=3, replications=3, seed=4)
     report = run(inst, cfg)
     assert report.nlp_solves == 9
     assert len(report.traces) == 3
@@ -149,7 +144,7 @@ def test_run_report_and_feasibility():
 
 def test_run_is_deterministic_across_calls():
     inst = builtin_instance(3)
-    cfg = FssConfig(n=2, iterations=2, replications=2, seed=11, solver=FAST)
+    cfg = FssConfig(n=2, iterations=2, replications=2, seed=11)
     a = run(inst, cfg)
     b = run(inst, cfg)
     assert a.best_radius == b.best_radius
@@ -159,7 +154,7 @@ def test_run_is_deterministic_across_calls():
 
 def test_parallel_workers_match_serial():
     inst = builtin_instance(2)
-    cfg = FssConfig(n=2, iterations=2, replications=2, seed=3, solver=FAST)
+    cfg = FssConfig(n=2, iterations=2, replications=2, seed=3)
     serial = run(inst, cfg, workers=1)
     parallel = run(inst, cfg, workers=2)
     assert serial.best_radius == parallel.best_radius
@@ -169,7 +164,7 @@ def test_parallel_workers_match_serial():
 
 def test_minimal_budget_still_works():
     inst = builtin_instance(6)
-    cfg = FssConfig(n=1, iterations=1, replications=1, seed=0, solver=FAST)
+    cfg = FssConfig(n=1, iterations=1, replications=1, seed=0)
     report = run(inst, cfg)
     assert report.nlp_solves == 1
     assert report.best_radius > 0.0
@@ -180,9 +175,17 @@ def test_fallback_layout_on_hopeless_geometry():
     # nothing; even when every solve collapses, the run must still hand
     # back a verified layout.
     inst = Instance("tight", [ProhibitedCircle(CartesianPoint(0.0, 0.0), 0.995)])
-    cfg = FssConfig(n=2, iterations=1, replications=1, seed=0, solver=FAST)
+    cfg = FssConfig(n=2, iterations=1, replications=1, seed=0)
     report = run(inst, cfg)
     assert verify_layout(report.best_layout, inst, 0.0).feasible
+
+
+def test_fallback_layout_reports_a_missed_ring():
+    # The ring 0.9999995 < |c| < 1 is feasible, but every fallback
+    # candidate lies inside the disk or on the 0.999999 circle.
+    inst = Instance("thin-ring", [ProhibitedCircle(CartesianPoint(0.0, 0.0), 0.9999995)])
+    with pytest.raises(EngineError, match="fallback grid"):
+        engine._fallback_layout(inst, 2)
 
 
 def blas_threads():
@@ -213,7 +216,7 @@ def test_run_holds_blas_at_one_thread(two_blas_threads, monkeypatch):
 
     monkeypatch.setattr(engine, "solve", recording_solve)
     inst = builtin_instance(2)
-    cfg = FssConfig(n=2, iterations=2, replications=2, seed=3, solver=FAST)
+    cfg = FssConfig(n=2, iterations=2, replications=2, seed=3)
     run(inst, cfg)
     assert len(seen) == 4
     engine._replication_job(inst, cfg, 1)
@@ -227,7 +230,7 @@ def test_run_restores_blas_threads_after_a_raise(two_blas_threads, monkeypatch):
         raise RuntimeError("solver blew up")
 
     monkeypatch.setattr(engine, "solve", failing_solve)
-    cfg = FssConfig(n=2, iterations=1, replications=1, seed=0, solver=FAST)
+    cfg = FssConfig(n=2, iterations=1, replications=1, seed=0)
     with pytest.raises(RuntimeError, match="solver blew up"):
         run(builtin_instance(2), cfg)
     assert blas_threads() == two_blas_threads
@@ -253,14 +256,14 @@ def test_worker_exception_names_the_replication(monkeypatch):
         raise ValueError("bad replication")
 
     fail_on_replication_1(monkeypatch, boom)
-    cfg = FssConfig(n=2, iterations=1, replications=3, seed=0, solver=FAST)
+    cfg = FssConfig(n=2, iterations=1, replications=3, seed=0)
     with pytest.raises(EngineError, match=r"replication 1 failed in a worker: ValueError"):
         run(builtin_instance(2), cfg, workers=2)
 
 
 def test_dead_worker_names_the_replication(monkeypatch):
     fail_on_replication_1(monkeypatch, lambda: os._exit(3))
-    cfg = FssConfig(n=2, iterations=1, replications=3, seed=0, solver=FAST)
+    cfg = FssConfig(n=2, iterations=1, replications=3, seed=0)
     with pytest.raises(EngineError, match=r"worker process died") as exc:
         run(builtin_instance(2), cfg, workers=2)
     # Replications running beside the dead one are lost with it.
@@ -279,7 +282,7 @@ def test_pool_broken_during_submission_names_the_unsubmitted(monkeypatch):
             return super().submit(*args, **kwargs)
 
     monkeypatch.setattr(engine, "ProcessPoolExecutor", BreaksOnThirdSubmit)
-    cfg = FssConfig(n=2, iterations=1, replications=4, seed=0, solver=FAST)
+    cfg = FssConfig(n=2, iterations=1, replications=4, seed=0)
     with pytest.raises(EngineError, match=r"worker process died") as exc:
         run(builtin_instance(2), cfg, workers=2)
     lost = re.search(r"replications ([\d, ]+) did not finish", str(exc.value)).group(1)

@@ -272,12 +272,13 @@ def test_pack_extract_round_trip():
 
 
 def test_pack_extract_round_trip_at_polar_seams():
-    # theta just above 0, theta just below 2*pi, and r = 0 must pack into
-    # the polar box and map back to the same centres.
+    # theta just above 0, theta just below 2*pi (which rounds to 2*pi),
+    # and r = 0 must pack into the polar box and map back to the same centres.
     centers = np.array([[0.5, 1e-17], [0.5, -1e-17], [0.0, 0.0]])
     p = build_simple(Assignment((), (0, 1, 2)), centers)
     z = p.pack_start(centers, 0.1)
     assert np.all(z >= p.lower) and np.all(z <= p.upper)
+    assert z[p.var_b[1]] == 2.0 * math.pi
     assert z[p.var_a[2]] == 0.0
     assert np.allclose(p.extract_centers(z), centers, rtol=0.0, atol=1e-15)
 

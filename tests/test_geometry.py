@@ -1,4 +1,4 @@
-"""Geometry layer: conversions, bounds, radius correction, verification."""
+"""Geometry layer: domain types, bounds, radius correction, verification."""
 
 import json
 import math
@@ -8,21 +8,19 @@ import mpmath
 import numpy as np
 import pytest
 
+from fsspack.formulation import Assignment, PairSets, build_nlp
 from fsspack.geometry import (
     CartesianPoint,
     Instance,
     Layout,
     LayoutFormatError,
-    PolarPoint,
     ProhibitedCircle,
     as_center_array,
-    cart_to_polar,
     correct_radius,
     format_radius,
     layout_from_dict,
     layout_to_dict,
     load_layout,
-    polar_to_cart,
     radius_upper_bound,
     save_layout,
     verify_layout,
@@ -44,32 +42,22 @@ def single_disk(x: float, y: float, r: float) -> Instance:
     return Instance("one-disk", [ProhibitedCircle(CartesianPoint(x, y), r)])
 
 
-# --- conversions -----------------------------------------------------------
-
-
-def test_cart_polar_round_trip_random():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        x, y = rng.uniform(-1.0, 1.0, size=2)
-        p = cart_to_polar(CartesianPoint(x, y))
-        back = polar_to_cart(p)
-        assert math.isclose(back.x, x, abs_tol=1e-14)
-        assert math.isclose(back.y, y, abs_tol=1e-14)
-        assert 0.0 <= p.theta <= 2.0 * math.pi
+# --- domain types ----------------------------------------------------------
 
 
 def test_cart_polar_quadrants():
-    assert cart_to_polar(CartesianPoint(-1.0, 0.0)).theta == pytest.approx(math.pi)
-    assert cart_to_polar(CartesianPoint(0.0, -1.0)).theta == pytest.approx(1.5 * math.pi)
-    assert cart_to_polar(CartesianPoint(1.0, 0.0)).theta == 0.0
-    assert cart_to_polar(CartesianPoint(0.0, 0.0)).r == 0.0
-
-
-def test_polar_point_validation():
-    with pytest.raises(ValueError):
-        PolarPoint(-0.1, 0.0)
-    with pytest.raises(ValueError):
-        PolarPoint(0.5, 7.0)
+    # The polar convention of the packing program: theta in [0, 2*pi],
+    # measured from the +x axis, and r = 0 at the origin.
+    centers = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 0.0]])
+    p = build_nlp(
+        EMPTY, Assignment((), (0, 1, 2, 3)), Layout(centers, 0.0), 2.0, PairSets([], []), 1.0
+    )
+    z = p.pack_start(centers, 0.1)
+    assert z[p.var_b[0]] == pytest.approx(math.pi)
+    assert z[p.var_b[1]] == pytest.approx(1.5 * math.pi)
+    assert z[p.var_b[2]] == 0.0
+    assert z[p.var_a[3]] == 0.0
+    assert np.allclose(p.extract_centers(z), centers, rtol=0.0, atol=1e-15)
 
 
 def test_prohibited_circle_validation():

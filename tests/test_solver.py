@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fsspack import solver
 from fsspack.formulation import Assignment, PairSets, build_nlp
 from fsspack.geometry import (
     CartesianPoint,
@@ -16,7 +17,6 @@ from fsspack.solver import (
     CONVERGED,
     ITERATION_LIMIT,
     NUMERICAL_FAILURE,
-    SolverOptions,
     gradient_check,
     solve,
 )
@@ -56,41 +56,67 @@ def build_for(centers, assignment, instance=EMPTY, delta=2.0, r_cap=None, pairs=
     return build_nlp(instance, assignment, Layout(centers, 0.0), delta, pairs, r_cap)
 
 
-def test_single_circle_fills_container():
+@pytest.fixture
+def monotone_merit(monkeypatch):
+    """Assert that no inner minimisation of a solve increases its own merit.
+
+    Wraps the solver's `minimize` and evaluates the merit function at the
+    start and at the clipped result of every call.
+    """
+    real = solver.minimize
+    calls = []
+
+    def checked(merit, x0, bounds, **kwargs):
+        before = merit(x0)[0]
+        result = real(merit, x0, bounds=bounds, **kwargs)
+        after = merit(np.clip(result.x, bounds.lb, bounds.ub))[0]
+        slack = 1e-9 * (1.0 + abs(before))
+        assert after <= before + slack, (
+            f"inner minimisation increased the merit: {before} -> {after}"
+        )
+        calls.append(after)
+        return result
+
+    monkeypatch.setattr(solver, "minimize", checked)
+    yield
+    assert calls, "the solver never called minimize"
+
+
+def test_single_circle_fills_container(monotone_merit):
     p = build_for([(0.3, 0.2)], Assignment((0,), ()))
-    res = solve(p, p.pack_start(np.array([[0.3, 0.2]]), 0.1), check_monotone=True)
+    res = solve(p, p.pack_start(np.array([[0.3, 0.2]]), 0.1))
     assert res.status == CONVERGED
     assert res.objective == pytest.approx(1.0, abs=1e-6)
     assert res.max_constraint_violation <= 1e-8
 
 
-def test_two_circles_split_the_diameter():
+def test_two_circles_split_the_diameter(monotone_merit):
     centers = np.array([[0.4, 0.1], [-0.3, -0.2]])
     p = build_for(centers, Assignment((0,), (1,)))
-    res = solve(p, p.pack_start(centers, 0.1), check_monotone=True)
+    res = solve(p, p.pack_start(centers, 0.1))
     assert res.status in (CONVERGED, ITERATION_LIMIT)
     corrected = correct_radius(p.extract_centers(res.point), EMPTY)
     assert corrected == pytest.approx(0.5, abs=1e-6)
 
 
-def test_annular_single_circle_matches_scan_oracle():
+def test_annular_single_circle_matches_scan_oracle(monotone_merit):
     hole = 0.2
     inst = Instance("hole", [ProhibitedCircle(CartesianPoint(0.0, 0.0), hole)])
     want = annulus_oracle(hole)
     assert want == pytest.approx((1.0 - hole) / 2.0, abs=1e-9)
     centers = np.array([[0.55, 0.1]])
     p = build_for(centers, Assignment((0,), ()), inst)
-    res = solve(p, p.pack_start(centers, 0.05), check_monotone=True)
+    res = solve(p, p.pack_start(centers, 0.05))
     corrected = correct_radius(p.extract_centers(res.point), inst)
     assert corrected == pytest.approx(want, abs=1e-7)
 
 
-def test_polar_formulation_reaches_the_same_optimum():
+def test_polar_formulation_reaches_the_same_optimum(monotone_merit):
     hole = 0.2
     inst = Instance("hole", [ProhibitedCircle(CartesianPoint(0.0, 0.0), hole)])
     centers = np.array([[0.55, 0.1]])
     p = build_for(centers, Assignment((), (0,)), inst)
-    res = solve(p, p.pack_start(centers, 0.05), check_monotone=True)
+    res = solve(p, p.pack_start(centers, 0.05))
     corrected = correct_radius(p.extract_centers(res.point), inst)
     assert corrected == pytest.approx((1.0 - hole) / 2.0, abs=1e-7)
 
@@ -178,19 +204,6 @@ def test_numerical_failure_is_reported_not_raised():
     res = solve(p, p.pack_start(np.array([[0.3, 0.2]]), 0.1))
     assert res.status == NUMERICAL_FAILURE
     assert np.all(np.isfinite(res.point))
-
-
-def test_solver_options_validate():
-    with pytest.raises(ValueError):
-        SolverOptions(max_outer_iterations=0)
-    with pytest.raises(ValueError):
-        SolverOptions(kkt_tolerance=0.0)
-    with pytest.raises(ValueError):
-        SolverOptions(feasibility_tolerance=-1e-9)
-    with pytest.raises(ValueError):
-        SolverOptions(initial_penalty=0.0)
-    with pytest.raises(ValueError):
-        SolverOptions(penalty_growth=1.0)
 
 
 def test_solve_rejects_bad_start_shape():
