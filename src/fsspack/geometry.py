@@ -6,7 +6,11 @@ This module owns the domain types plus the numeric services everything
 else builds on: the area bound on the common radius, the post-solve
 radius correction, and an independent feasibility verifier.
 
-Correction and verification run in software extended precision and the
+Correction and verification screen every constraint in double precision
+first.  Only the candidates whose double value lies within a stated
+rounding bound of the extremum are evaluated again in software extended
+precision, with every coordinate difference formed there, so the result
+is the one an all-candidates extended-precision pass would give.  The
 corrected radius is rounded down to a double, so a corrected layout is
 feasible at tolerance zero.  Everything else is plain double precision.
 """
@@ -27,11 +31,6 @@ TWO_PI = 2.0 * math.pi
 
 # Working precision (decimal digits) for correction and verification.
 EXTENDED_DPS = 50
-
-# Candidates within this window of the double-precision minimum get
-# re-evaluated in extended precision.  Double rounding error on distances
-# in the unit disk is ~1e-16, so the window is generous.
-_REFINE_WINDOW = 1e-12
 
 
 class LayoutFormatError(ValueError):
@@ -203,51 +202,64 @@ def correct_radius(centers: Union[np.ndarray, Sequence], instance: Instance) -> 
     distances, and prohibited clearances |c_i - f| - R_f.  The minimum is
     evaluated in extended precision and rounded down to a double, so the
     pair (centres, radius) verifies feasible at tolerance zero.  Centre
-    sets with no positive clearance yield 0.
+    sets with no positive clearance yield 0.  A centre with a NaN or
+    infinite coordinate raises ValueError naming the circle.
+
+    Every term is first computed in float64.  With u = 2^-53 and s the
+    sum of a term's magnitudes (1 + |c_i|, |c_i - c_j| / 2, or
+    |c_i - f| + R_f), the float64 term is within 7u*s of its
+    extended-precision value: u*s from the rounded coordinate
+    differences, 4u*s from a libm hypot good to two ulps, u*s from the
+    final subtraction or halving, u*s when the interval ends below are
+    rounded, and far less than u*s from the 50-digit evaluation itself.
+    Each term is therefore bounded by value +- (16u*s + 8 * 2^-1074), the
+    last part for subnormal results.  The true minimum lies below the
+    smallest upper end, so only the terms whose lower end reaches it are
+    re-evaluated at EXTENDED_DPS digits, with coordinate differences
+    formed there.  A term whose float64 interval is not finite (overflow)
+    is always re-evaluated.
     """
     pts = as_center_array(centers)
     n = pts.shape[0]
     if n == 0:
         raise ValueError("centers must be nonempty")
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"centre of circle {i} is not finite: ({pts[i, 0]}, {pts[i, 1]})")
 
     x = pts[:, 0]
     y = pts[:, 1]
-    values = [1.0 - np.hypot(x, y)]
-    kinds: list[tuple[str, tuple[int, ...]]] = [("wall", (i,)) for i in range(n)]
-    if n >= 2:
-        iu, ju = np.triu_indices(n, k=1)
-        values.append(0.5 * np.hypot(x[iu] - x[ju], y[iu] - y[ju]))
-        kinds.extend(("pair", (int(i), int(j))) for i, j in zip(iu, ju))
     fc = instance.prohibited_centers()
     fr = instance.prohibited_radii()
-    if fc.shape[0]:
-        d = np.hypot(x[:, None] - fc[None, :, 0], y[:, None] - fc[None, :, 1])
-        values.append((d - fr[None, :]).ravel())
-        kinds.extend(
-            ("prohibited", (i, f)) for i in range(n) for f in range(fc.shape[0])
-        )
+    iu, ju = np.triu_indices(n, k=1)
+    wall = np.hypot(x, y)
+    half = 0.5 * np.hypot(x[iu] - x[ju], y[iu] - y[ju])
+    gap = np.hypot(x[:, None] - fc[None, :, 0], y[:, None] - fc[None, :, 1])
+    # Flat order: n wall terms, then pairs (i < j, row-major), then (i, f).
+    value = np.concatenate((1.0 - wall, half, (gap - fr).ravel()))
+    scale = np.concatenate((1.0 + wall, half, (gap + fr).ravel()))
+    bound = 8.0 * math.ulp(1.0) * scale + 8.0 * math.ulp(0.0)
+    ceiling = np.fmin.reduce(value + bound, initial=math.inf)
+    first_disk = n + iu.size
 
-    flat = np.concatenate(values)
-    coarse_min = float(flat.min())
-    if coarse_min < -_REFINE_WINDOW:
-        return 0.0
-
-    near = np.nonzero(flat <= coarse_min + _REFINE_WINDOW)[0]
     with mpmath.workdps(EXTENDED_DPS):
         best = None
-        for idx in near:
-            kind, who = kinds[int(idx)]
-            if kind == "wall":
-                (i,) = who
-                val = 1 - mpmath.hypot(x[i], y[i])
-            elif kind == "pair":
-                i, j = who
-                val = mpmath.hypot(x[i] - x[j], y[i] - y[j]) / 2
+        for k in np.flatnonzero(~(value - bound > ceiling)):
+            if k < n:
+                term = 1 - mpmath.hypot(x[k], y[k])
+            elif k < first_disk:
+                i, j = iu[k - n], ju[k - n]
+                dx = mpmath.mpf(x[i]) - mpmath.mpf(x[j])
+                dy = mpmath.mpf(y[i]) - mpmath.mpf(y[j])
+                term = mpmath.hypot(dx, dy) / 2
             else:
-                i, f = who
-                val = mpmath.hypot(x[i] - fc[f, 0], y[i] - fc[f, 1]) - mpmath.mpf(fr[f])
-            if best is None or val < best:
-                best = val
+                i, f = divmod(int(k) - first_disk, fr.size)
+                dx = mpmath.mpf(x[i]) - mpmath.mpf(fc[f, 0])
+                dy = mpmath.mpf(y[i]) - mpmath.mpf(fc[f, 1])
+                term = mpmath.hypot(dx, dy) - mpmath.mpf(fr[f])
+            if best is None or term < best:
+                best = term
         if best <= 0:
             return 0.0
         return max(0.0, _float_rounded_down(best))
@@ -258,47 +270,84 @@ def verify_layout(layout: Layout, instance: Instance, tol: float) -> Feasibility
 
     Violations are measured in distance units: how far a circle pokes out
     of the container, overlaps a neighbour, or overlaps a prohibited
-    disk.  All arithmetic runs in extended precision so tolerance zero is
-    meaningful for corrected layouts.
+    disk.  Each family reports its largest violation and the first
+    circle, pair or (circle, disk) attaining it, in the order
+    i, then (i < j), then (i, f).  A circle with a NaN or infinite
+    coordinate lies outside the container by an infinite amount; it is
+    left out of the pair and prohibited families.
+
+    Every value is the one an extended-precision (EXTENDED_DPS digits)
+    evaluation of all candidates gives, with coordinate differences
+    formed in extended precision, so tolerance zero is meaningful for
+    corrected layouts.  Candidates are screened first: each family is
+    evaluated in float64, vectorised, which takes O(n^2) float64 memory
+    for the pairs.  With u = 2^-53 and s the sum of a candidate's
+    magnitudes (|c_i| + r + 1, |c_i - c_j| + 2r, or |c_i - f| + r + R_f),
+    the float64 violation is within 7u*s of the extended one: u*s from
+    the rounded coordinate differences, 4u*s from a libm hypot good to
+    two ulps, u*s from each of the two additions, and far less than u*s
+    from the extended evaluation.  Each candidate's interval, value +-
+    (16u*s + 8 * 2^-1074), leaves room for rounding its own ends and for
+    subnormal results.  The family maximum is at least the largest lower
+    end, so only candidates whose upper end reaches it are evaluated in
+    extended precision, in loop order, keeping the first strict maximum.
+    A candidate whose float64 interval is not finite (overflow) is always
+    evaluated.
     """
     if not (tol >= 0.0):
         raise ValueError(f"tolerance must be nonnegative, got {tol}")
     pts = layout.centers
-    n = layout.n
+    finite = np.isfinite(pts).all(axis=1)
+    keep = np.flatnonzero(finite)
+    x = pts[keep, 0]
+    y = pts[keep, 1]
     fc = instance.prohibited_centers()
     fr = instance.prohibited_radii()
+    r = float(layout.radius)
+
+    wall = np.hypot(pts[:, 0], pts[:, 1])
+    cont_raw = np.where(finite, wall + r - 1.0, math.inf)
+    cont_scale = np.where(finite, wall + r + 1.0, 0.0)
+    iu, ju = np.triu_indices(keep.size, k=1)
+    pair_i, pair_j = keep[iu], keep[ju]
+    dist = np.hypot(x[iu] - x[ju], y[iu] - y[ju])
+    gap = np.hypot(x[:, None] - fc[None, :, 0], y[:, None] - fc[None, :, 1])
+    n_disks = fr.size
 
     with mpmath.workdps(EXTENDED_DPS):
-        radius = mpmath.mpf(float(layout.radius))
+        radius = mpmath.mpf(r)
 
-        worst_cont = None
-        cont_idx = None
-        for i in range(n):
-            raw = mpmath.hypot(pts[i, 0], pts[i, 1]) + radius - 1
-            if worst_cont is None or raw > worst_cont:
-                worst_cont, cont_idx = raw, i
+        def distance(i: int, px: float, py: float) -> mpmath.mpf:
+            dx = mpmath.mpf(pts[i, 0]) - mpmath.mpf(px)
+            dy = mpmath.mpf(pts[i, 1]) - mpmath.mpf(py)
+            return mpmath.hypot(dx, dy)
 
-        worst_pair = None
-        pair_idx = None
-        for i in range(n):
-            for j in range(i + 1, n):
-                raw = 2 * radius - mpmath.hypot(
-                    pts[i, 0] - pts[j, 0], pts[i, 1] - pts[j, 1]
-                )
-                if worst_pair is None or raw > worst_pair:
-                    worst_pair, pair_idx = raw, (i, j)
+        def first_max(raw: np.ndarray, scale: np.ndarray, exact):
+            bound = 8.0 * math.ulp(1.0) * scale + 8.0 * math.ulp(0.0)
+            floor = np.fmax.reduce(raw - bound, initial=-math.inf)
+            worst = at = None
+            for k in np.flatnonzero(~(raw + bound < floor)):
+                value = exact(int(k))
+                if worst is None or value > worst:
+                    worst, at = value, int(k)
+            return worst, at
 
-        worst_proh = None
-        proh_idx = None
-        for i in range(n):
-            for f in range(fc.shape[0]):
-                raw = (
-                    radius
-                    + mpmath.mpf(fr[f])
-                    - mpmath.hypot(pts[i, 0] - fc[f, 0], pts[i, 1] - fc[f, 1])
-                )
-                if worst_proh is None or raw > worst_proh:
-                    worst_proh, proh_idx = raw, (i, f)
+        def containment(i: int):
+            return distance(i, 0.0, 0.0) + radius - 1 if finite[i] else mpmath.inf
+
+        def overlap(k: int):
+            j = pair_j[k]
+            return 2 * radius - distance(pair_i[k], pts[j, 0], pts[j, 1])
+
+        def intrusion(k: int):
+            a, f = divmod(k, n_disks)
+            return radius + mpmath.mpf(fr[f]) - distance(keep[a], fc[f, 0], fc[f, 1])
+
+        worst_cont, cont_idx = first_max(cont_raw, cont_scale, containment)
+        worst_pair, k = first_max(2.0 * r - dist, 2.0 * r + dist, overlap)
+        pair_idx = None if k is None else (int(pair_i[k]), int(pair_j[k]))
+        worst_proh, k = first_max(((r + fr) - gap).ravel(), ((r + fr) + gap).ravel(), intrusion)
+        proh_idx = None if k is None else (int(keep[k // n_disks]), k % n_disks)
 
         def clamped(value) -> float:
             if value is None or value <= 0:

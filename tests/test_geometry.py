@@ -10,7 +10,9 @@ import pytest
 
 from fsspack.formulation import Assignment, PairSets, build_nlp
 from fsspack.geometry import (
+    EXTENDED_DPS,
     CartesianPoint,
+    FeasibilityReport,
     Instance,
     Layout,
     LayoutFormatError,
@@ -25,8 +27,11 @@ from fsspack.geometry import (
     save_layout,
     verify_layout,
 )
+from fsspack.instances import builtin_instance
 
 EMPTY = Instance("empty", [])
+# Far enough that float64 clearances from it are off by ~1e-10.
+FAR_DISK = Instance("far-disk", [ProhibitedCircle(CartesianPoint(0.0, 1e6 + 0.5), 1e6)])
 
 
 def oracle_upper_bound(largest: Fraction, n: int) -> float:
@@ -220,6 +225,230 @@ def test_feasibility_report_to_dict_round_trips_json():
     doc = json.loads(json.dumps(rep.to_dict()))
     assert doc["feasible"] is True
     assert doc["worst_pairwise_violation"] == 0.0
+
+
+def test_correct_radius_forms_differences_exactly():
+    # Rounding x_i - x_j to float64 made these two circles overlap by
+    # 2e-17 at the corrected radius, and a verifier that rounds the same
+    # difference accepted it.
+    pts = np.array(
+        [[0.12094954855618259, -0.275435676119069], [-0.05062971946144226, 0.08199793332047081]]
+    )
+    r = correct_radius(pts, EMPTY)
+    assert r == _reference_correct(pts, EMPTY)
+    with mpmath.workdps(EXTENDED_DPS):
+        dx = mpmath.mpf(pts[0, 0]) - mpmath.mpf(pts[1, 0])
+        dy = mpmath.mpf(pts[0, 1]) - mpmath.mpf(pts[1, 1])
+        assert 2 * mpmath.mpf(r) <= mpmath.hypot(dx, dy)
+    assert verify_layout(Layout(pts, r), EMPTY, 0.0).feasible
+    assert not verify_layout(Layout(pts, math.nextafter(r, math.inf)), EMPTY, 0.0).feasible
+
+
+def test_correct_radius_far_prohibited_disk():
+    # The disk clearance binds within 1e-9 of the pair term, and its
+    # float64 value is ~1e-10 off: a fixed 1e-12 refinement window
+    # skipped it and returned a radius the verifier rejects.
+    pts = np.array([[0.13774717447663481, 0.37128890867950554], [0.1783607686388096, 0.11709070677495748]])
+    r = correct_radius(pts, FAR_DISK)
+    assert r == _reference_correct(pts, FAR_DISK)
+    assert r < 0.12871110084163012
+    assert verify_layout(Layout(pts, r), FAR_DISK, 0.0).feasible
+    assert not verify_layout(Layout(pts, math.nextafter(r, math.inf)), FAR_DISK, 0.0).feasible
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_centres(bad):
+    inst = single_disk(0.0, -0.5, 0.2)
+    for coord in (0, 1):
+        pts = np.array([[0.5, 0.0], [-0.5, 0.0], [0.0, 0.5], [0.1, 0.1]])
+        pts[2, coord] = bad
+        with pytest.raises(ValueError, match="circle 2"):
+            correct_radius(pts, inst)
+        rep = verify_layout(Layout(pts, 0.1), inst, 0.0)
+        assert not rep.feasible
+        assert rep.containment_index == 2
+        assert rep.worst_containment_violation == math.inf
+        assert rep.describe_worst() == "containment of circle 2"
+        # The finite circles are still checked against each other.
+        assert rep.pairwise_indices == (0, 3)
+        assert rep.prohibited_indices == (3, 0)
+        assert verify_layout(Layout(pts, 0.5), inst, 0.0).worst_pairwise_violation == pytest.approx(
+            1.0 - math.hypot(0.4, 0.1), abs=1e-15
+        )
+
+
+# --- screened checks against the all-candidates reference ------------------
+
+
+def _reference_correct(centers, instance: Instance) -> float:
+    """Every term in 50-digit arithmetic, differences formed there."""
+    pts = np.asarray(centers, dtype=float)
+    fc = instance.prohibited_centers()
+    fr = instance.prohibited_radii()
+    with mpmath.workdps(EXTENDED_DPS):
+        p = [(mpmath.mpf(x), mpmath.mpf(y)) for x, y in pts]
+        terms = [1 - mpmath.hypot(x, y) for x, y in p]
+        terms += [
+            mpmath.hypot(p[i][0] - p[j][0], p[i][1] - p[j][1]) / 2
+            for i in range(len(p))
+            for j in range(i + 1, len(p))
+        ]
+        terms += [
+            mpmath.hypot(x - mpmath.mpf(fc[f, 0]), y - mpmath.mpf(fc[f, 1])) - mpmath.mpf(fr[f])
+            for x, y in p
+            for f in range(fc.shape[0])
+        ]
+        best = min(terms)
+        if best <= 0:
+            return 0.0
+        out = float(best)
+        if mpmath.mpf(out) > best:
+            out = math.nextafter(out, -math.inf)
+        return out
+
+
+def _reference_verify(layout: Layout, instance: Instance, tol: float) -> FeasibilityReport:
+    """The all-candidates 50-digit loop, differences formed in extended precision."""
+    n = layout.n
+    fc = instance.prohibited_centers()
+    fr = instance.prohibited_radii()
+    with mpmath.workdps(EXTENDED_DPS):
+        p = [(mpmath.mpf(x), mpmath.mpf(y)) for x, y in layout.centers]
+        radius = mpmath.mpf(float(layout.radius))
+
+        def first_max(items):
+            worst = at = None
+            for key, raw in items:
+                if worst is None or raw > worst:
+                    worst, at = raw, key
+            return worst, at
+
+        worst_cont, cont_idx = first_max(
+            (i, mpmath.hypot(p[i][0], p[i][1]) + radius - 1) for i in range(n)
+        )
+        worst_pair, pair_idx = first_max(
+            ((i, j), 2 * radius - mpmath.hypot(p[i][0] - p[j][0], p[i][1] - p[j][1]))
+            for i in range(n)
+            for j in range(i + 1, n)
+        )
+        worst_proh, proh_idx = first_max(
+            (
+                (i, f),
+                radius
+                + mpmath.mpf(fr[f])
+                - mpmath.hypot(p[i][0] - mpmath.mpf(fc[f, 0]), p[i][1] - mpmath.mpf(fc[f, 1])),
+            )
+            for i in range(n)
+            for f in range(fc.shape[0])
+        )
+        cont, pair, proh = (
+            0.0 if v is None or v <= 0 else float(v) for v in (worst_cont, worst_pair, worst_proh)
+        )
+    return FeasibilityReport(
+        feasible=(cont <= tol and pair <= tol and proh <= tol),
+        tol=float(tol),
+        worst_containment_violation=cont,
+        worst_pairwise_violation=pair,
+        worst_prohibited_violation=proh,
+        containment_index=cont_idx,
+        pairwise_indices=pair_idx,
+        prohibited_indices=proh_idx,
+    )
+
+
+def _free_points(rng, instance: Instance, n: int) -> np.ndarray:
+    """n uniform points inside the unit disk and clear of every prohibited disk."""
+    fc = instance.prohibited_centers()
+    fr = instance.prohibited_radii()
+    out = np.empty((0, 2))
+    while out.shape[0] < n:
+        pts = rng.uniform(-1.0, 1.0, size=(4 * n, 2))
+        ok = np.hypot(pts[:, 0], pts[:, 1]) < 1.0
+        ok &= (np.hypot(pts[:, None, 0] - fc[:, 0], pts[:, None, 1] - fc[:, 1]) > fr).all(axis=1)
+        out = np.vstack((out, pts[ok]))
+    return out[:n]
+
+
+def _exact_hex_lattice(spacing: float, limit: float) -> np.ndarray:
+    # Spacing a power of two and a row height with few significant bits:
+    # every coordinate difference is exact in float64, so lattice
+    # distances tie exactly.
+    height = float(Fraction(spacing * math.sqrt(3.0) / 2.0).limit_denominator(2**20))
+    k = int(2.0 / spacing) + 1
+    pts = [
+        (col * spacing + (row % 2) * spacing / 2.0, row * height)
+        for row in range(-k, k + 1)
+        for col in range(-k, k + 1)
+    ]
+    return np.array([p for p in pts if math.hypot(*p) <= limit])
+
+
+def _oracle_cases():
+    """(label, centres, instance) covering ties, walls, tangency and scale."""
+    rng = np.random.default_rng(11)
+    p6 = builtin_instance(6)
+    p1 = builtin_instance(1, 11)
+    tangent = Instance(
+        "tangent",
+        [ProhibitedCircle(CartesianPoint(0.5, 0.0), 0.25), ProhibitedCircle(CartesianPoint(-0.5, 0.0), 0.25)],
+    )
+    vacuous = Instance(
+        "vacuous",
+        [ProhibitedCircle(CartesianPoint(2.0, 0.0), 1.0), ProhibitedCircle(CartesianPoint(0.0, -2.5), 1.0)],
+    )
+    for k in range(20):
+        inst = (EMPTY, p6, single_disk(0.3, -0.2, 0.15))[k % 3]
+        yield f"random-{k}", _free_points(rng, inst, int(rng.integers(2, 13))), inst
+    lattice = _exact_hex_lattice(0.25, 0.75)
+    yield "hex-ties", lattice, EMPTY
+    yield "hex-ties-tangent", lattice, tangent
+    yield "hex-ties-reversed", lattice[::-1].copy(), EMPTY
+    yield "coincident", np.array([[0.1, 0.2], [0.1, 0.2], [0.3, -0.1], [0.1, 0.2]]), EMPTY
+    yield "on-wall", np.array([[1.0, 0.0], [0.6, 0.8], [0.0, -1.0], [0.0, 0.0]]), EMPTY
+    yield "tangent", np.array([[0.0, 0.0], [0.0, 0.5], [0.0, -0.5]]), tangent
+    yield "vacuous", np.array([[0.5, 0.0], [-0.5, 0.0], [0.0, 0.5]]), vacuous
+    yield "far-disk-pinned", np.array(
+        [[0.13774717447663481, 0.37128890867950554], [0.1783607686388096, 0.11709070677495748]]
+    ), FAR_DISK
+    yield "exact-difference-pinned", np.array(
+        [[0.12094954855618259, -0.275435676119069], [-0.05062971946144226, 0.08199793332047081]]
+    ), EMPTY
+    # Seven circles whose far-disk clearances differ by 1e-12, well inside
+    # the ~1e-10 float64 error: the float64 order of that family is noise.
+    for a in range(30):
+        arc = []
+        for k, step in enumerate(rng.permutation(7)):
+            x = 0.2 * k - 0.6
+            with mpmath.workdps(EXTENDED_DPS):
+                reach = mpmath.mpf(1e6) + mpmath.mpf(0.08 + 0.001 * a) + mpmath.mpf(1e-12) * int(step)
+                y = mpmath.mpf(1e6 + 0.5) - mpmath.sqrt(reach**2 - mpmath.mpf(x) ** 2)
+            arc.append((x, float(y)))
+        yield f"far-disk-arc-{a}", np.array(arc), FAR_DISK
+    # Two circles whose pair term ties the far-disk clearance to ~1e-9.
+    for k in range(40):
+        x0 = rng.uniform(-0.3, 0.3)
+        y0 = 0.5 - rng.uniform(0.05, 0.2)
+        with mpmath.workdps(EXTENDED_DPS):
+            clear = float(
+                mpmath.hypot(mpmath.mpf(x0), mpmath.mpf(y0) - mpmath.mpf(1e6 + 0.5)) - mpmath.mpf(1e6)
+            )
+        turn = rng.uniform(-0.9 * math.pi, -0.1 * math.pi)
+        dist = 2.0 * clear * (1.0 + 1e-9 * rng.uniform(-1.0, 1.0))
+        yield f"far-disk-{k}", np.array(
+            [[x0, y0], [x0 + dist * math.cos(turn), y0 + dist * math.sin(turn)]]
+        ), FAR_DISK
+    for n in range(2, 61, 2):
+        for inst in (p6, p1):
+            yield f"{inst.name}-n{n}", _free_points(rng, inst, n), inst
+
+
+def test_screened_checks_match_the_reference():
+    for label, pts, inst in _oracle_cases():
+        r = correct_radius(pts, inst)
+        assert r == _reference_correct(pts, inst), label
+        for radius in (r, math.nextafter(r, math.inf), r + 1e-9):
+            lay = Layout(pts, radius)
+            assert verify_layout(lay, inst, 0.0) == _reference_verify(lay, inst, 0.0), (label, radius)
 
 
 # --- formatting and files --------------------------------------------------
