@@ -3,7 +3,8 @@
 Every iteration re-poses the problem before solving it again: each circle
 is randomly flipped between Cartesian and polar coordinates, and the
 Cartesian centres are only allowed to move inside a box whose half-width
-is DELTA_FACTOR times the last corrected radius.  The solver's point is
+is DELTA_FACTOR times the last corrected radius, or times the radius cap
+while that is still 0.  The solver's point is
 adopted whether or not it improved, so the search keeps drifting through
 formulation space; the corrected radius decides what counts as the best
 layout seen.
@@ -40,7 +41,7 @@ _MASK64 = (1 << 64) - 1
 
 # Half-width of the box each Cartesian centre may move in, as a fraction
 # of the last corrected radius (of the radius upper bound before the first
-# solve).
+# solve, and while the corrected radius is 0).
 DELTA_FACTOR = 2.0 / 3.0
 
 
@@ -160,7 +161,9 @@ def run_replication(
             )
         )
 
-        delta = DELTA_FACTOR * r_star
+        # While r* is 0, a box of DELTA_FACTOR * r* would freeze every
+        # Cartesian centre; keep the first iteration's box instead.
+        delta = DELTA_FACTOR * (r_star if r_star > 0.0 else r_cap)
         previous_r_star = r_star
         current = Layout(new_centers, r_star)
         assignment = random_assignment(rng, n)

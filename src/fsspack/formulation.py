@@ -13,14 +13,25 @@ exactly three families: containment in the unit disk, separation of
 circle pairs, and clearance from prohibited disks.
 
 The coordinate choice is a change of variables and nothing more.  Each
-evaluation maps every slot's two variables to its centre (x, y) once:
-the identity for Cartesian slots, (r cos theta, r sin theta) for polar
-ones, whose 2x2 derivative [[cos theta, -y], [sin theta, x]] needs no
-more than the map itself computed.  The three families are evaluated in
-Cartesian form only; their weighted row gradients are summed per slot
-with np.bincount and pulled back through the 2x2 derivatives.  Polar
-containment is the one exception: it keeps its linear form 1 - R - r,
-which is exact and, unlike 1 - R - |(x, y)|, smooth at the origin.
+evaluation builds one complex point array: the n slot centres, x + iy
+for Cartesian slots and r e^{i theta} for polar ones, then the origin,
+then the centre of the disk of each clearance row.  Every row but one
+kind is then a single form over two entries a and b of that array:
+
+    g = sign * (|p_a - p_b|^2 - (alpha + beta*R)^2)
+
+    containment (Cartesian)  b = origin   alpha = 1    beta = -1  sign = -1
+    separation               b = slot     alpha = 0    beta = 2   sign = +1
+    clearance                b = disk     alpha = r_f  beta = 1   sign = +1
+
+so one gather d = p_a - p_b serves every row's value and derivatives.
+The weighted partials 2*sign*w*d are summed per slot by one np.bincount
+over interleaved (x, y) targets, end a with its weight and end b (a slot
+only in separation rows) with the weight negated, straight into the
+variable layout.  A polar slot's sum g = (gx, gy) is then pulled back to
+(Re(g e^{-i theta}), r Im(g e^{-i theta})).  Polar containment is the one
+exception: it keeps its linear form 1 - R - r, which is exact and,
+unlike 1 - R - |(x, y)|, smooth at the origin.
 
 Finiteness is checked once per use.  constraint_values raises
 EvaluationError naming the family and circles of the first non-finite
@@ -161,107 +172,86 @@ class NlpProblem:
         self.var_a = 1 + 2 * slot
         self.var_b = 2 + 2 * slot
 
-        # Rows and slots of the separation and clearance families.
-        q = len(circle_pairs)
-        self._pairs = slice(n, n + q)
-        self._prohibited = slice(n + q, m)
-        self._pair_i = slot[circle_pairs[:, 0]]
-        self._pair_j = slot[circle_pairs[:, 1]]
-        self._clear_i = slot[clearances]
-        self._disk_x = disks[:, 0].copy()
-        self._disk_y = disks[:, 1].copy()
-        self._disk_r = disks[:, 2].copy()
+        # The point array after the n slot centres: the origin, then the
+        # disk of each clearance row, as interleaved (x, y).
+        self._fixed = np.concatenate(([0.0, 0.0], disks[:, :2].ravel()))
 
-        # Each (row, slot) pair where a row depends on a centre: Cartesian
-        # containment, both ends of every pair, every clearance.  No row
-        # touches one slot twice.
-        pair_rows = np.arange(n, n + q)
-        self._touch_row = np.concatenate(
-            (np.arange(nc), pair_rows, pair_rows, np.arange(n + q, m))
+        # Ends a and b of every row, and its alpha, beta and sign.  A polar
+        # containment row has a = b and sign 0, so the row form gives it
+        # no value and no centre partial; it is the linear 1 - R - r.
+        q, slots = len(circle_pairs), np.arange(n)
+        self._ia = np.concatenate((slots, slot[circle_pairs[:, 0]], slot[clearances]))
+        self._ib = np.concatenate(
+            (np.full(nc, n), slots[nc:], slot[circle_pairs[:, 1]], n + 1 + np.arange(m - n - q))
         )
-        self._touch_slot = np.concatenate(
-            (np.arange(nc), self._pair_i, self._pair_j, self._clear_i)
+        self._alpha = np.concatenate((np.ones(n), np.zeros(q), disks[:, 2]))
+        self._beta = np.concatenate(
+            (np.full(nc, -1.0), np.zeros(n - nc), np.full(q, 2.0), np.ones(m - n - q))
         )
+        self._sign = np.concatenate((np.full(nc, -1.0), np.zeros(n - nc), np.ones(m - n)))
+        # dg/dR = _radius_slope * (alpha + beta*R), and -dg/dp_a = _pull * d.
+        self._radius_slope = -2.0 * self._sign * self._beta
+        self._radius_slope[nc:n] = -1.0
+        self._pull = -2.0 * self._sign
 
-    # -- the coordinate map ---------------------------------------------
-
-    def _centres(self, z: np.ndarray) -> tuple:
-        """Centre (x, y) per slot, and cos/sin of theta per polar slot."""
-        nc = self._nc
-        x = z[1::2].copy()
-        y = z[2::2].copy()
-        r = z[1 + 2 * nc :: 2]
-        cos_t = np.cos(y[nc:])
-        sin_t = np.sin(y[nc:])
-        x[nc:] = r * cos_t
-        y[nc:] = r * sin_t
-        return x, y, cos_t, sin_t
-
-    def _pull_back(self, out: np.ndarray, centres: tuple) -> None:
-        """Turn Cartesian partials into variable partials, in place.
-
-        The last axis of out has the variable layout.  On entry each
-        slot holds partials by (x, y), afterwards by its own variables;
-        Cartesian slots map by the identity, so only polar ones change.
-        """
-        x, y, cos_t, sin_t = centres
-        nc = self._nc
-        gx = out[..., 1 + 2 * nc :: 2]
-        gy = out[..., 2 + 2 * nc :: 2]
-        g_r = gx * cos_t + gy * sin_t
-        g_theta = gy * x[nc:] - gx * y[nc:]
-        gx[...] = g_r
-        gy[...] = g_theta
+        # Scatter targets of the interleaved row partials: (x, y) of end a
+        # for every row, then of end b for the pair rows, the only rows
+        # whose end b is a slot.  Offset by one for the radius.
+        self._pair_part = slice(2 * n, 2 * (n + q))
+        ends = np.concatenate((self._ia, self._ib[n : n + q]))
+        self._scatter = np.column_stack((1 + 2 * ends, 2 + 2 * ends)).ravel()
 
     # -- evaluation -----------------------------------------------------
 
-    def _evaluate(self, z: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """Row values and the partials their derivatives need.
+    def _points(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The complex point array at z, and e^{i theta} per polar slot."""
+        n, nc = self.n, self._nc
+        pts = np.concatenate((z[1:], self._fixed)).view(complex)
+        turn = np.exp(1j * z[2 + 2 * nc :: 2])
+        pts[nc:n] = z[1 + 2 * nc :: 2] * turn
+        return pts, turn
 
-        Returns (values, partials) with partials = (d_radius, d_x, d_y,
-        centres): the radius partial per row, the Cartesian partials per
-        (row, slot) touch, and the mapped centres.
-        """
+    def _rows(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per row d = p_a - p_b and alpha + beta*R, and the polar turns."""
+        pts, turn = self._points(z)
+        return pts[self._ia] - pts[self._ib], self._alpha + self._beta * z[0], turn
+
+    def _values(self, z: np.ndarray, d: np.ndarray, rad: np.ndarray) -> np.ndarray:
         nc, n = self._nc, self.n
-        radius = z[0]
-        centres = self._centres(z)
-        x, y = centres[0], centres[1]
-        values = np.empty(self.m, dtype=float)
-        d_radius = np.empty(self.m, dtype=float)
+        values = self._sign * ((d * d.conj()).real - rad * rad)
+        values[nc:n] = (1.0 - z[0]) - z[1 + 2 * nc :: 2]
+        return values
 
-        xc, yc = x[:nc], y[:nc]
-        values[:nc] = (1.0 - radius) ** 2 - xc * xc - yc * yc
-        d_radius[:nc] = -2.0 * (1.0 - radius)
-        values[nc:n] = (1.0 - radius) - z[1 + 2 * nc :: 2]
-        d_radius[nc:n] = -1.0
+    def _spread(self, partials: np.ndarray) -> np.ndarray:
+        """Interleaved scatter weights: each row's partial at end a, negated at end b."""
+        flat = partials.view(float)
+        return np.concatenate((flat, -flat[self._pair_part]))
 
-        dx = x[self._pair_i] - x[self._pair_j]
-        dy = y[self._pair_i] - y[self._pair_j]
-        values[self._pairs] = dx * dx + dy * dy - 4.0 * radius * radius
-        d_radius[self._pairs] = -8.0 * radius
+    def _pull_back(self, out: np.ndarray, turn: np.ndarray, z: np.ndarray) -> None:
+        """Turn Cartesian partials into variable partials, in place.
 
-        u = x[self._clear_i] - self._disk_x
-        v = y[self._clear_i] - self._disk_y
-        rr = radius + self._disk_r
-        values[self._prohibited] = u * u + v * v - rr * rr
-        d_radius[self._prohibited] = -2.0 * rr
+        The last axis of out has the variable layout.  A polar slot's
+        partial g = (gx, gy) by its centre becomes (Re(g e^{-i theta}),
+        r Im(g e^{-i theta})) by (r, theta); Cartesian slots map by the
+        identity.
+        """
+        nc = self._nc
+        rotated = out[..., 1 + 2 * nc :].view(complex) * turn.conj()
+        out[..., 1 + 2 * nc :: 2] = rotated.real
+        out[..., 2 + 2 * nc :: 2] = z[1 + 2 * nc :: 2] * rotated.imag
 
-        d_x = np.concatenate((-2.0 * xc, 2.0 * dx, -2.0 * dx, 2.0 * u))
-        d_y = np.concatenate((-2.0 * yc, 2.0 * dy, -2.0 * dy, 2.0 * v))
-        return values, (d_radius, d_x, d_y, centres)
-
-    def _gradient(self, partials: tuple, weights: np.ndarray) -> np.ndarray:
-        """Gradient of -R - weights @ g from the partials of _evaluate."""
-        d_radius, d_x, d_y, centres = partials
-        w_touch = weights[self._touch_row]
-        grad = np.empty(self.nv, dtype=float)
-        grad[0] = weights @ d_radius
-        grad[1::2] = np.bincount(self._touch_slot, weights=w_touch * d_x, minlength=self.n)
-        grad[2::2] = np.bincount(self._touch_slot, weights=w_touch * d_y, minlength=self.n)
-        self._pull_back(grad, centres)
-        grad[1 + 2 * self._nc :: 2] -= weights[self._nc : self.n]
-        np.negative(grad, out=grad)
-        grad[0] -= 1.0
+    def _gradient(
+        self, z: np.ndarray, d: np.ndarray, rad: np.ndarray, turn: np.ndarray, weights: np.ndarray
+    ) -> np.ndarray:
+        """Gradient of -R - weights @ g, from the gathered rows at z."""
+        nc = self._nc
+        # bincount of nothing (n = 0) is an integer array.
+        grad = np.bincount(
+            self._scatter, weights=self._spread((weights * self._pull) * d), minlength=self.nv
+        ).astype(float, copy=False)
+        grad[0] = -1.0 - weights @ (self._radius_slope * rad)
+        self._pull_back(grad, turn, z)
+        grad[1 + 2 * nc :: 2] += weights[nc : self.n]
         return grad
 
     def _require_finite(self, row_ok: np.ndarray, what: str) -> None:
@@ -273,19 +263,22 @@ class NlpProblem:
 
     def constraint_values(self, z: np.ndarray) -> np.ndarray:
         """All constraint values g(z) in canonical order."""
-        values, _ = self._evaluate(z)
+        d, rad, _ = self._rows(z)
+        values = self._values(z, d, rad)
         self._require_finite(np.isfinite(values), "value")
         return values
 
     def jacobian(self, z: np.ndarray) -> np.ndarray:
         """Dense constraint jacobian, rows in canonical order."""
-        _, (d_radius, d_x, d_y, centres) = self._evaluate(z)
+        d, rad, turn = self._rows(z)
+        nc, n = self._nc, self.n
         out = np.zeros((self.m, self.nv), dtype=float)
-        out[:, 0] = d_radius
-        out[self._touch_row, 1 + 2 * self._touch_slot] = d_x
-        out[self._touch_row, 2 + 2 * self._touch_slot] = d_y
-        self._pull_back(out, centres)
-        polar = np.arange(self._nc, self.n)
+        out[:, 0] = self._radius_slope * rad
+        rows = np.repeat(np.arange(self.m), 2)
+        rows = np.concatenate((rows, rows[self._pair_part]))
+        out[rows, self._scatter] = self._spread(-self._pull * d)
+        self._pull_back(out, turn, z)
+        polar = np.arange(nc, n)
         out[polar, 1 + 2 * polar] = -1.0
         self._require_finite(np.isfinite(out).all(axis=1), "derivative")
         return out
@@ -304,19 +297,22 @@ class NlpProblem:
         or the gradient.  R enters the value directly.  A Cartesian
         coordinate drives its containment row to -inf or NaN, which
         w = max(0, lambda - rho*g) carries into the value as +inf or
-        NaN.  A polar r or theta that is not finite leaves x or y of its
-        centre non-finite, and then so is the theta entry of the
-        gradient, gy*x - gx*y, since 0*inf is NaN.
+        NaN.  A polar theta that is not finite makes e^{i theta} NaN, and
+        with it the r entry of the gradient, Re(g e^{-i theta}), since
+        NaN times 0 is NaN.  A polar r that is not finite makes the theta
+        entry r Im(g e^{-i theta}) infinite, or NaN where Im(...) is 0.
+        tests/test_formulation.py::test_non_finite_variable_reaches_merit
+        tries every variable.
         """
-        values, partials = self._evaluate(z)
-        w = multipliers - penalty * values
+        d, rad, turn = self._rows(z)
+        w = multipliers - penalty * self._values(z, d, rad)
         np.maximum(w, 0.0, out=w)
         value = -z[0] + (w @ w - multipliers @ multipliers) / (2.0 * penalty)
-        return float(value), self._gradient(partials, w)
+        return float(value), self._gradient(z, d, rad, turn, w)
 
     def lagrangian_gradient(self, z: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
         """Gradient of -R - multipliers @ g at z."""
-        return self._gradient(self._evaluate(z)[1], multipliers)
+        return self._gradient(z, *self._rows(z), multipliers)
 
     def linear_violations(self, z: np.ndarray) -> np.ndarray:
         """Signed violations in distance units, canonical order.
@@ -325,17 +321,9 @@ class NlpProblem:
         unlike the raw squared constraint values.
         """
         nc, n = self._nc, self.n
-        radius = z[0]
-        x, y, _, _ = self._centres(z)
-        out = np.empty(self.m, dtype=float)
-        out[:nc] = np.hypot(x[:nc], y[:nc]) + radius - 1.0
-        out[nc:n] = z[1 + 2 * nc :: 2] + radius - 1.0
-        out[self._pairs] = 2.0 * radius - np.hypot(
-            x[self._pair_i] - x[self._pair_j], y[self._pair_i] - y[self._pair_j]
-        )
-        out[self._prohibited] = radius + self._disk_r - np.hypot(
-            x[self._clear_i] - self._disk_x, y[self._clear_i] - self._disk_y
-        )
+        d, rad, _ = self._rows(z)
+        out = self._sign * (rad - np.abs(d))
+        out[nc:n] = z[1 + 2 * nc :: 2] + z[0] - 1.0
         return out
 
     # -- layout glue ----------------------------------------------------
@@ -357,10 +345,9 @@ class NlpProblem:
 
     def extract_centers(self, z: np.ndarray) -> np.ndarray:
         """Cartesian centres of all circles at the point z."""
-        x, y, _, _ = self._centres(z)
+        pts, _ = self._points(z)
         out = np.empty((self.n, 2), dtype=float)
-        out[self._order, 0] = x
-        out[self._order, 1] = y
+        out[self._order] = pts[: self.n].view(float).reshape(-1, 2)
         return out
 
 

@@ -18,12 +18,20 @@ The schedule is fixed, as in the paper's search:
   its feasibility target and by 1000 once the objective stalls, and
   capped at 1e14.
 
+Each merit evaluation yields the value and the gradient together.
+L-BFGS-B is handed them as two callbacks: `fun` evaluates and keeps the
+gradient, keyed by the bytes of its point, and `jac` returns it when
+asked at that same point.  At any other point `jac` evaluates afresh, so
+the result never depends on the order in which scipy calls the two.  The
+key is reset whenever the multipliers or the penalty change.
+
 The solver is deterministic: identical problem and start give a
 bit-identical result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,13 +111,20 @@ def solve(problem: NlpProblem, start: np.ndarray) -> SolverResult:
     feas_target, stat_target = _targets(penalty)
     bounds = Bounds(lower, upper)
 
-    def merit(point: np.ndarray) -> tuple[float, np.ndarray]:
+    def merit(point: np.ndarray) -> float:
+        nonlocal stash
         # The only finiteness check of a merit evaluation; the docstring of
         # NlpProblem.augmented_lagrangian says why it catches every case.
         value, grad = problem.augmented_lagrangian(point, multipliers, penalty)
-        if not np.isfinite(value) or not np.all(np.isfinite(grad)):
+        if not (math.isfinite(value) and np.isfinite(grad).all()):
             raise _NonFiniteMerit
-        return value, grad
+        stash = (point.tobytes(), grad)
+        return value
+
+    def merit_grad(point: np.ndarray) -> np.ndarray:
+        if point.tobytes() != stash[0]:
+            merit(point)
+        return stash[1]
 
     status = ITERATION_LIMIT
     violation = float("inf")
@@ -119,11 +134,14 @@ def solve(problem: NlpProblem, start: np.ndarray) -> SolverResult:
 
     for outer in range(1, _MAX_OUTER + 1):
         inner_gtol = max(stat_target, 0.1 * _KKT_TOL)
+        # The gradient of the last merit call, keyed by the bytes of its
+        # point; emptied because the multipliers or the penalty may differ.
+        stash: tuple[bytes, np.ndarray] = (b"", np.empty(0))
         try:
             result = minimize(
                 merit,
                 z,
-                jac=True,
+                jac=merit_grad,
                 method="L-BFGS-B",
                 bounds=bounds,
                 options={

@@ -128,6 +128,19 @@ def test_replication_traces_are_coherent():
     assert lay.radius == traces[-1].r_best
 
 
+def test_zero_radius_keeps_the_first_box():
+    # problem2 at n = 40, seed 9, replication 0: the first solve ends at a
+    # corrected radius of 0.  A box of DELTA_FACTOR * 0 would freeze every
+    # Cartesian centre and hold r* at 0 for good.
+    inst = builtin_instance(2)
+    cfg = FssConfig(n=40, iterations=4, replications=1, seed=9)
+    r_cap = radius_upper_bound(inst, 40)
+    _, traces = run_replication(inst, cfg, replication_rng(9, 0))
+    assert traces[0].r_star == 0.0
+    assert traces[1].delta == engine.DELTA_FACTOR * r_cap
+    assert traces[-1].r_best > 0.0
+
+
 def test_run_report_and_feasibility():
     inst = builtin_instance(2)
     cfg = FssConfig(n=2, iterations=3, replications=3, seed=4)

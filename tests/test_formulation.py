@@ -365,3 +365,28 @@ def test_program_without_pairs_or_disks():
     assert np.isfinite(value)
     assert np.allclose(grad, want, rtol=0.0, atol=1e-12)
     assert np.allclose(p.extract_centers(z), centers, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("assignment", [((0, 1, 2), ()), ((), (0, 1, 2)), ((0, 2), (1,))])
+@pytest.mark.parametrize("with_pairs", [False, True])
+@pytest.mark.parametrize("with_disks", [False, True])
+def test_non_finite_variable_reaches_merit(assignment, with_pairs, with_disks):
+    # The solver checks only the merit value and gradient for finiteness,
+    # so every non-finite variable must show in one of them (see the
+    # augmented_lagrangian docstring).
+    centers = np.array([[0.31, -0.22], [-0.47, 0.11], [0.05, 0.58]])
+    inst = Instance("d", [disk(0.2, 0.3, 0.1)]) if with_disks else EMPTY
+    pairs = all_pairs(3, inst.f_count)
+    if not with_pairs:
+        pairs = PairSets([], pairs.prohibited_pairs)
+    p = build_simple(Assignment(*assignment), centers, inst, pairs=pairs)
+    start = p.pack_start(centers, 0.17)
+    settings = [(np.zeros(p.m), 10.0), (np.linspace(0.5, 2.0, p.m), 1e6)]
+    for j in range(p.nv):
+        for bad in (math.nan, math.inf, -math.inf):
+            z = start.copy()
+            z[j] = bad
+            for multipliers, penalty in settings:
+                with np.errstate(all="ignore"):
+                    value, grad = p.augmented_lagrangian(z, multipliers, penalty)
+                assert not (math.isfinite(value) and np.isfinite(grad).all()), (j, bad, penalty)

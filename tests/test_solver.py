@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from fsspack import solver
 from fsspack.formulation import Assignment, PairSets, build_nlp
@@ -67,9 +68,9 @@ def monotone_merit(monkeypatch):
     calls = []
 
     def checked(merit, x0, bounds, **kwargs):
-        before = merit(x0)[0]
+        before = merit(x0)
         result = real(merit, x0, bounds=bounds, **kwargs)
-        after = merit(np.clip(result.x, bounds.lb, bounds.ub))[0]
+        after = merit(np.clip(result.x, bounds.lb, bounds.ub))
         slack = 1e-9 * (1.0 + abs(before))
         assert after <= before + slack, (
             f"inner minimisation increased the merit: {before} -> {after}"
@@ -215,3 +216,62 @@ def test_solve_rejects_bad_start_shape():
         solve(p, np.zeros(1))
     with pytest.raises(ValueError):
         solve(p, np.float64(0.2))
+
+
+def test_gradient_memo_never_serves_a_stale_gradient(monkeypatch):
+    # scipy asks for the gradient right after the value at the same point,
+    # but the solver must not rely on it.  This stand-in for minimize asks
+    # for it first, again after the value, and at another point, in every
+    # outer round, and ends each round with a value at the point it
+    # returns.  The start overlaps two circles, so the penalty grows
+    # between rounds and a gradient kept from the last round would be stale.
+    centers = np.array([[0.2, 0.2], [0.21, 0.2]])
+    p = build_for(centers, Assignment((0,), (1,)))
+    real = p.augmented_lagrangian
+    evaluations = []
+
+    def counted(z, multipliers, penalty):
+        evaluations.append((multipliers.copy(), penalty))
+        return real(z, multipliers, penalty)
+
+    p.augmented_lagrangian = counted
+    rounds = []
+
+    def stub(fun, x0, jac, bounds, **kwargs):
+        first = jac(x0)
+        fun(x0)
+        multipliers, penalty = evaluations[-1]
+        again = jac(x0)
+        used = len(evaluations)
+        other = np.clip(x0 + 0.01, bounds.lb, bounds.ub)
+        moved = jac(other)
+        rounds.append(penalty)
+        assert np.array_equal(first, real(x0, multipliers, penalty)[1])
+        assert np.array_equal(again, first) and used == len(evaluations) - 1
+        assert np.array_equal(moved, real(other, multipliers, penalty)[1])
+        fun(x0)
+        return OptimizeResult(x=x0)
+
+    monkeypatch.setattr(solver, "minimize", stub)
+    solve(p, p.pack_start(centers, 0.4))
+    assert len(set(rounds)) > 1
+
+
+def test_non_finite_gradient_on_the_jac_path_is_reported(monkeypatch):
+    p = build_for([(0.3, 0.2)], Assignment((0,), ()))
+    real = p.augmented_lagrangian
+
+    def poisoned(z, multipliers, penalty):
+        value, grad = real(z, multipliers, penalty)
+        grad[-1] = float("nan")
+        return value, grad
+
+    def stub(fun, x0, jac, bounds, **kwargs):
+        jac(x0)
+        raise AssertionError("a non-finite gradient must end the solve")
+
+    p.augmented_lagrangian = poisoned
+    monkeypatch.setattr(solver, "minimize", stub)
+    res = solve(p, p.pack_start(np.array([[0.3, 0.2]]), 0.1))
+    assert res.status == NUMERICAL_FAILURE
+    assert res.outer_iterations == 1
