@@ -9,6 +9,23 @@ adopted whether or not it improved, so the search keeps drifting through
 formulation space; the corrected radius decides what counts as the best
 layout seen.
 
+Each solve starts warm from the last one: from its centres, its
+corrected radius and the multipliers it accepted at exit.  The solver's
+penalty is not carried; it restarts at its initial value.  Multipliers
+are carried by row identity (NlpProblem.row_ids), so a row that was
+pruned away in between starts at 0.  They are carried in distance units:
+a row's multiplier times its dg/dh at the exit radius is the multiplier
+of the row's slack in distance units (NlpProblem.distance_multipliers),
+which is the same whether the circle is Cartesian or polar.  Before the
+next solve each carried value is divided by the new row's dg/dh at the
+start radius (NlpProblem.row_multipliers); a row whose dg/dh is 0 there
+(a pair row at R = 0, Cartesian containment at R = 1) starts at 0.
+
+The carried multipliers are zero before the first solve.  They are reset
+to zero after a solve that ended in a numerical failure, and after an
+iteration whose corrected radius is 0: neither leaves an active set worth
+keeping.
+
 Replications are independent restarts.  Each draws its randomness from a
 counter-based stream keyed by (seed, replication index), so any subset of
 replications can be reproduced, serially or in parallel.
@@ -33,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formulation import Assignment, build_nlp, prune_pairs
+from .formulation import Assignment, build_nlp, prune_pairs, row_id_count
 from .geometry import Instance, Layout, TWO_PI, correct_radius, radius_upper_bound, verify_layout
 from .solver import NUMERICAL_FAILURE, solve
 
@@ -74,6 +91,8 @@ class IterationTrace:
     delta: float
     cart_count: int
     status: str
+    outer_rounds: int
+    merit_calls: int
     elapsed: float
 
 
@@ -132,13 +151,16 @@ def run_replication(
     best_centers = current.centers.copy()
     previous_r_star = 0.0
     traces: list[IterationTrace] = []
+    # The last solve's multipliers in distance units, indexed by row id.
+    carried = np.zeros(row_id_count(n, instance.f_count))
 
     for t in range(config.iterations):
         tic = time.perf_counter()
         pairs = prune_pairs(current, assignment, delta, r_cap, instance)
         problem = build_nlp(instance, assignment, current, delta, pairs, r_cap)
         start = problem.pack_start(current.centers, min(max(previous_r_star, 0.0), r_cap))
-        result = solve(problem, start)
+        multipliers = problem.row_multipliers(carried[problem.row_ids], start[0])
+        result = solve(problem, start, multipliers)
 
         if result.status == NUMERICAL_FAILURE:
             new_centers = current.centers
@@ -146,6 +168,11 @@ def run_replication(
             new_centers = problem.extract_centers(result.point)
 
         r_star = correct_radius(new_centers, instance)
+        carried[:] = 0.0
+        if result.status != NUMERICAL_FAILURE and r_star > 0.0:
+            carried[problem.row_ids] = problem.distance_multipliers(
+                result.multipliers, result.point[0]
+            )
         if r_star > best_radius:
             best_radius = r_star
             best_centers = new_centers.copy()
@@ -157,6 +184,8 @@ def run_replication(
                 delta=delta,
                 cart_count=len(assignment.cart),
                 status=result.status,
+                outer_rounds=result.outer_iterations,
+                merit_calls=result.merit_calls,
                 elapsed=time.perf_counter() - tic,
             )
         )

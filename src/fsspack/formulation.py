@@ -33,6 +33,18 @@ variable layout.  A polar slot's sum g = (gx, gy) is then pulled back to
 exception: it keeps its linear form 1 - R - r, which is exact and,
 unlike 1 - R - |(x, y)|, smooth at the origin.
 
+Every row also has an identity that outlives the program: row_ids
+numbers containment of circle i as i, the pair {i, j} (i < j) as
+n + i*n + j, and clearance of circle i from disk f as n + n^2 + i*k + f,
+with k prohibited disks.  Rows of two programs for the same n and
+instance that share an id are the same geometric constraint, whatever
+the coordinate choice or pruning.  multiplier_factors gives each row's
+dg/dh, with h the row's slack in distance units: 2*(alpha + beta*R) on
+the squared rows and 1 on the linear polar containment.  A multiplier
+times its factor is the multiplier of the distance-unit constraint,
+which does not depend on the row's form; distance_multipliers and
+row_multipliers map between the two.
+
 Finiteness is checked once per use.  constraint_values raises
 EvaluationError naming the family and circles of the first non-finite
 row; the merit function leaves the check to its caller, whose single
@@ -56,6 +68,11 @@ ROOT2 = math.sqrt(2.0)
 FAMILY_CONTAINMENT = "containment"
 FAMILY_PAIR = "pair"
 FAMILY_PROHIBITED = "prohibited"
+
+
+def row_id_count(n: int, k: int) -> int:
+    """Size of the row id space for n circles and k prohibited disks."""
+    return n + n * n + n * k
 
 
 class EvaluationError(RuntimeError):
@@ -136,12 +153,12 @@ def prune_pairs(
 class NlpProblem:
     """One smooth inequality program: maximise the common radius.
 
-    Built by build_nlp.  Public data: n, nv, m, lower, upper, tags, cart,
-    polar, var_a, var_b (index of each circle's first and second
-    variable), r_cap.  Rows come in family order: containment for every
-    circle in slot order, then one separation row per retained circle
-    pair, then one clearance row per retained (circle, prohibited disk)
-    pair.
+    Built by build_nlp.  Public data: n, nv, m, lower, upper, tags,
+    row_ids, cart, polar, var_a, var_b (index of each circle's first and
+    second variable), r_cap.  Rows come in family order: containment for
+    every circle in slot order, then one separation row per retained
+    circle pair, then one clearance row per retained (circle, prohibited
+    disk) pair.
     """
 
     def __init__(
@@ -151,6 +168,7 @@ class NlpProblem:
         lower: np.ndarray,
         upper: np.ndarray,
         tags: list[tuple[str, tuple[int, ...]]],
+        row_ids: np.ndarray,
         r_cap: float,
         circle_pairs: np.ndarray,
         clearances: np.ndarray,
@@ -161,6 +179,7 @@ class NlpProblem:
         self.lower = lower
         self.upper = upper
         self.tags = tags
+        self.row_ids = row_ids
         self.r_cap = r_cap
         self.n = n = len(cart) + len(polar)
         self.nv = 2 * n + 1
@@ -221,6 +240,12 @@ class NlpProblem:
         values = self._sign * ((d * d.conj()).real - rad * rad)
         values[nc:n] = (1.0 - z[0]) - z[1 + 2 * nc :: 2]
         return values
+
+    def _violations(self, z: np.ndarray, d: np.ndarray, rad: np.ndarray) -> np.ndarray:
+        nc, n = self._nc, self.n
+        out = self._sign * (rad - np.abs(d))
+        out[nc:n] = z[1 + 2 * nc :: 2] + z[0] - 1.0
+        return out
 
     def _spread(self, partials: np.ndarray) -> np.ndarray:
         """Interleaved scatter weights: each row's partial at end a, negated at end b."""
@@ -320,11 +345,46 @@ class NlpProblem:
         Positive means violated; this matches the verifier's semantics,
         unlike the raw squared constraint values.
         """
-        nc, n = self._nc, self.n
         d, rad, _ = self._rows(z)
-        out = self._sign * (rad - np.abs(d))
-        out[nc:n] = z[1 + 2 * nc :: 2] + z[0] - 1.0
-        return out
+        return self._violations(z, d, rad)
+
+    def outer_update(
+        self, z: np.ndarray, multipliers: np.ndarray, penalty: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """What the solver needs after an outer round, from one gather.
+
+        Returns g(z), the linear violations, the candidate multipliers
+        max(0, multipliers - penalty*g) and the gradient of the Lagrangian
+        at them: bit for bit what constraint_values, linear_violations
+        and lagrangian_gradient give, with constraint_values' check.
+        """
+        d, rad, turn = self._rows(z)
+        values = self._values(z, d, rad)
+        self._require_finite(np.isfinite(values), "value")
+        candidate = np.maximum(0.0, multipliers - penalty * values)
+        gradient = self._gradient(z, d, rad, turn, candidate)
+        return values, self._violations(z, d, rad), candidate, gradient
+
+    def multiplier_factors(self, radius: float) -> np.ndarray:
+        """dg/dh per row at R = radius, h the row's slack in distance units.
+
+        2*(alpha + beta*R) on the squared rows, the derivative of
+        |p_a - p_b|^2 - (alpha + beta*R)^2 by |p_a - p_b| where the row is
+        active, and 1 on the linear polar containment.  It is 0 on pair
+        rows at R = 0 and on Cartesian containment at R = 1.
+        """
+        factors = 2.0 * (self._alpha + self._beta * radius)
+        factors[self._nc : self.n] = 1.0
+        return factors
+
+    def distance_multipliers(self, multipliers: np.ndarray, radius: float) -> np.ndarray:
+        """Row multipliers at R = radius, re-expressed in distance units."""
+        return multipliers * self.multiplier_factors(radius)
+
+    def row_multipliers(self, distance: np.ndarray, radius: float) -> np.ndarray:
+        """Inverse of distance_multipliers; 0 on rows whose factor is 0."""
+        factors = self.multiplier_factors(radius)
+        return np.divide(distance, factors, out=np.zeros(self.m), where=factors > 0.0)
 
     # -- layout glue ----------------------------------------------------
 
@@ -411,8 +471,10 @@ def build_nlp(
     disks = np.column_stack(
         (instance.prohibited_centers()[f], instance.prohibited_radii()[f])
     )
+    low, high = np.sort(circle_pairs, axis=1).T
+    row_ids = np.concatenate((cart, polar, n + low * n + high, n + n * n + clear[:, 0] * k + f))
     return NlpProblem(
-        cart, polar, lower, upper, tags, r_cap, circle_pairs, clear[:, 0], disks
+        cart, polar, lower, upper, tags, row_ids, r_cap, circle_pairs, clear[:, 0], disks
     )
 
 

@@ -18,6 +18,21 @@ The schedule is fixed, as in the paper's search:
   its feasibility target and by 1000 once the objective stalls, and
   capped at 1e14.
 
+A solve may start from given multipliers, one finite nonnegative value
+per row; None means zeros.  It returns the multipliers it accepted last,
+and the number of merit calls it made.  The penalty always restarts at
+its initial value, so a solve that had to grow it does not leave the
+next one stiff.  The search (fsspack.engine) carries the returned
+multipliers to its next solve by row id, multiplied by each row's dg/dh
+into distance units and divided by the new row's dg/dh at the new start
+(NlpProblem.distance_multipliers and row_multipliers).  It starts cold,
+from zeros, on its first solve, after a numerical failure, and after an
+iteration whose corrected radius is 0.
+
+After each outer round one gather gives the constraint values, the
+violations and the Lagrangian gradient at the candidate multipliers
+(NlpProblem.outer_update).
+
 Each merit evaluation yields the value and the gradient together.
 L-BFGS-B is handed them as two callbacks: `fun` evaluates and keeps the
 gradient, keyed by the bytes of its point, and `jac` returns it when
@@ -25,8 +40,8 @@ asked at that same point.  At any other point `jac` evaluates afresh, so
 the result never depends on the order in which scipy calls the two.  The
 key is reset whenever the multipliers or the penalty change.
 
-The solver is deterministic: identical problem and start give a
-bit-identical result.
+The solver is deterministic: identical problem, start and multipliers
+give a bit-identical result.
 """
 
 from __future__ import annotations
@@ -60,6 +75,9 @@ class SolverResult:
     status: str
     max_constraint_violation: float
     outer_iterations: int
+    # Last accepted multipliers, one per row of the problem.
+    multipliers: np.ndarray
+    merit_calls: int
 
 
 class _NonFiniteMerit(RuntimeError):
@@ -77,7 +95,9 @@ def _targets(penalty: float) -> tuple[float, float]:
     return max(penalty**-0.1, 0.1 * _FEAS_TOL), max(1.0 / penalty, 0.1 * _KKT_TOL)
 
 
-def solve(problem: NlpProblem, start: np.ndarray) -> SolverResult:
+def solve(
+    problem: NlpProblem, start: np.ndarray, multipliers: np.ndarray | None = None
+) -> SolverResult:
     """Maximise the common radius from the given start point.
 
     Parameters
@@ -86,12 +106,16 @@ def solve(problem: NlpProblem, start: np.ndarray) -> SolverResult:
         Program to solve; bounds and constraint families come from it.
     start : array
         Start vector, clamped into the variable bounds.
+    multipliers : array, optional
+        Starting multipliers, one finite nonnegative value per row in
+        canonical order.  None means zeros.
 
     Returns
     -------
     SolverResult
         Final point, objective (the radius), status, worst constraint
-        violation in distance units, and outer iterations used.
+        violation in distance units, outer iterations and merit calls
+        used, and the multipliers accepted last.
 
     Notes
     -----
@@ -105,16 +129,28 @@ def solve(problem: NlpProblem, start: np.ndarray) -> SolverResult:
     if np.shape(start) != (problem.nv,):
         raise ValueError(f"start must have shape ({problem.nv},), got {np.shape(start)}")
     z = np.clip(np.asarray(start, dtype=float), lower, upper)
+    if multipliers is None:
+        multipliers = np.zeros(problem.m, dtype=float)
+    else:
+        multipliers = np.array(multipliers, dtype=float)
+        if multipliers.shape != (problem.m,):
+            raise ValueError(
+                f"multipliers must have shape ({problem.m},), got {multipliers.shape}"
+            )
+        if not (np.isfinite(multipliers).all() and (multipliers >= 0.0).all()):
+            raise ValueError("multipliers must be finite and nonnegative")
 
-    multipliers = np.zeros(problem.m, dtype=float)
     penalty = _INITIAL_PENALTY
     feas_target, stat_target = _targets(penalty)
     bounds = Bounds(lower, upper)
 
+    merit_calls = 0
+
     def merit(point: np.ndarray) -> float:
-        nonlocal stash
+        nonlocal stash, merit_calls
         # The only finiteness check of a merit evaluation; the docstring of
         # NlpProblem.augmented_lagrangian says why it catches every case.
+        merit_calls += 1
         value, grad = problem.augmented_lagrangian(point, multipliers, penalty)
         if not (math.isfinite(value) and np.isfinite(grad).all()):
             raise _NonFiniteMerit
@@ -161,11 +197,10 @@ def solve(problem: NlpProblem, start: np.ndarray) -> SolverResult:
             break
 
         z = candidate
-        g = problem.constraint_values(z)
-        violation = float(np.max(problem.linear_violations(z), initial=0.0))
-
-        candidate_multipliers = np.maximum(0.0, multipliers - penalty * g)
-        grad_lag = problem.lagrangian_gradient(z, candidate_multipliers)
+        _, violations, candidate_multipliers, grad_lag = problem.outer_update(
+            z, multipliers, penalty
+        )
+        violation = float(np.max(violations, initial=0.0))
         stationarity = _projected_gradient_norm(z, grad_lag, lower, upper)
 
         if violation <= max(feas_target, _FEAS_TOL):
@@ -210,6 +245,8 @@ def solve(problem: NlpProblem, start: np.ndarray) -> SolverResult:
         status=status,
         max_constraint_violation=violation,
         outer_iterations=outer_used,
+        multipliers=multipliers,
+        merit_calls=merit_calls,
     )
 
 

@@ -1,5 +1,6 @@
 """Search driver: randomness contracts, replications, and run reports."""
 
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -20,6 +21,7 @@ from fsspack.engine import (
     random_initial_layout,
     replication_rng,
 )
+from fsspack.formulation import NlpProblem
 from fsspack.geometry import (
     CartesianPoint,
     Instance,
@@ -28,6 +30,7 @@ from fsspack.geometry import (
     verify_layout,
 )
 from fsspack.instances import builtin_instance
+from fsspack.solver import NUMERICAL_FAILURE
 
 EMPTY = Instance("empty", [])
 
@@ -139,6 +142,70 @@ def test_zero_radius_keeps_the_first_box():
     assert traces[0].r_star == 0.0
     assert traces[1].delta == engine.DELTA_FACTOR * r_cap
     assert traces[-1].r_best > 0.0
+
+
+def test_trace_merit_calls_count_every_merit_evaluation(monkeypatch):
+    real = NlpProblem.augmented_lagrangian
+    calls = []
+
+    def counted(self, *args):
+        calls.append(1)
+        return real(self, *args)
+
+    monkeypatch.setattr(NlpProblem, "augmented_lagrangian", counted)
+    report = run(builtin_instance(6), FssConfig(n=3, iterations=3, replications=2, seed=5))
+    steps = [step for trace in report.traces for step in trace]
+    assert sum(step.merit_calls for step in steps) == len(calls) > 0
+    assert all(1 <= step.outer_rounds <= 50 for step in steps)
+
+
+def recording_solve(monkeypatch, fail_at=(), zero_radius_at=()):
+    """Record the multipliers every solve is handed, and its result.
+
+    Iterations in fail_at report a numerical failure; in zero_radius_at
+    the corrected radius reads 0.
+    """
+    seen, results = [], []
+    real_solve, real_correct = engine.solve, engine.correct_radius
+
+    def recording(problem, start, multipliers=None):
+        seen.append(np.array(multipliers, dtype=float))
+        result = real_solve(problem, start, multipliers)
+        if len(seen) - 1 in fail_at:
+            result = dataclasses.replace(result, status=NUMERICAL_FAILURE)
+        results.append(result)
+        return result
+
+    def correct(centers, instance):
+        return 0.0 if len(seen) - 1 in zero_radius_at else real_correct(centers, instance)
+
+    monkeypatch.setattr(engine, "solve", recording)
+    monkeypatch.setattr(engine, "correct_radius", correct)
+    return seen, results
+
+
+def test_multipliers_start_cold_after_a_failure_or_a_zero_radius(monkeypatch):
+    seen, _ = recording_solve(monkeypatch, fail_at={2}, zero_radius_at={4})
+    cfg = FssConfig(n=3, iterations=7, replications=1, seed=4)
+    run_replication(builtin_instance(2), cfg, replication_rng(4, 0))
+    cold = [not m.any() for m in seen]
+    # Cold on iteration 0, after the failure (2) and after r* = 0 (4);
+    # warm after every other iteration.
+    assert cold == [True, False, False, True, False, True, False]
+    assert all(np.isfinite(m).all() and (m >= 0.0).all() for m in seen)
+
+
+def test_single_circle_fills_the_empty_disk_with_finite_multipliers(monkeypatch):
+    # At R = 1 the Cartesian containment row's dg/dh, 2*(1 - R), is 0:
+    # its multiplier cannot be carried, and must not blow up either.
+    seen, results = recording_solve(monkeypatch)
+    cfg = FssConfig(n=1, iterations=6, replications=1, seed=0)
+    layout, _ = run_replication(EMPTY, cfg, replication_rng(0, 0))
+    # The first solve, Cartesian, exits at R = 1 on a positive multiplier.
+    assert results[0].point[0] == 1.0 and results[0].multipliers[0] > 0.0
+    assert len(seen) == 6
+    assert all(np.isfinite(m).all() for m in seen)
+    assert layout.radius == pytest.approx(1.0, abs=1e-3)
 
 
 def test_run_report_and_feasibility():

@@ -15,6 +15,7 @@ from fsspack.formulation import (
     build_nlp,
     evaluate,
     prune_pairs,
+    row_id_count,
 )
 from fsspack.geometry import CartesianPoint, Instance, Layout, ProhibitedCircle
 
@@ -323,6 +324,82 @@ def test_constraint_values_reject_non_finite():
     z[1] = math.nan
     with pytest.raises(EvaluationError, match="family"):
         p.constraint_values(z)
+
+
+def test_outer_update_matches_the_separate_calls():
+    # One gather serves what constraint_values, linear_violations and
+    # lagrangian_gradient each gather for themselves: bit for bit equal.
+    rng = np.random.default_rng(23)
+    inst = Instance("d", [disk(0.1, -0.2, 0.15), disk(-0.3, 0.35, 0.1)])
+    centers = rng.uniform(-0.5, 0.5, size=(5, 2))
+    p = build_simple(Assignment((0, 3), (1, 2, 4)), centers, inst)
+    z = p.pack_start(centers, 0.15)
+    multipliers = np.abs(rng.standard_normal(p.m))
+    values, violations, candidate, gradient = p.outer_update(z, multipliers, 10.0)
+    g = p.constraint_values(z)
+    want = np.maximum(0.0, multipliers - 10.0 * g)
+    assert candidate.any() and not candidate.all()
+    assert np.array_equal(values, g)
+    assert np.array_equal(violations, p.linear_violations(z))
+    assert np.array_equal(candidate, want)
+    assert np.array_equal(gradient, p.lagrangian_gradient(z, want))
+    z[1] = math.nan
+    with pytest.raises(EvaluationError, match="non-finite value in containment family"):
+        p.outer_update(z, multipliers, 10.0)
+
+
+def test_row_ids_and_multiplier_factors():
+    # Ids depend on the circles and the disk alone: not on the coordinate
+    # choice, the row order or the orientation of a pair.
+    inst = Instance("d", [disk(0.1, -0.2, 0.15), disk(-0.3, 0.35, 0.1)])
+    centers = np.array([[0.3, 0.1], [-0.2, 0.4], [0.0, -0.5]])
+    pairs = PairSets([(0, 2), (2, 1)], [(1, 0), (2, 1)])
+    n, k = 3, 2
+    want = {
+        (FAMILY_CONTAINMENT, (0,)): 0,
+        (FAMILY_CONTAINMENT, (1,)): 1,
+        (FAMILY_CONTAINMENT, (2,)): 2,
+        (FAMILY_PAIR, (0, 2)): n + 0 * n + 2,
+        (FAMILY_PAIR, (2, 1)): n + 1 * n + 2,
+        (FAMILY_PROHIBITED, (1, 0)): n + n * n + 1 * k + 0,
+        (FAMILY_PROHIBITED, (2, 1)): n + n * n + 2 * k + 1,
+    }
+    assert row_id_count(n, k) == n + n * n + n * k
+    for assignment in (Assignment((0, 1, 2), ()), Assignment((1,), (0, 2))):
+        p = build_simple(assignment, centers, inst, pairs=pairs)
+        assert dict(zip(p.tags, p.row_ids.tolist())) == want
+        factors = dict(zip(p.tags, p.multiplier_factors(0.25)))
+        for i in range(n):
+            polar = i in assignment.polar
+            assert factors[(FAMILY_CONTAINMENT, (i,))] == (1.0 if polar else 2.0 * 0.75)
+        assert factors[(FAMILY_PAIR, (0, 2))] == 2.0 * 0.5
+        assert factors[(FAMILY_PROHIBITED, (2, 1))] == 2.0 * (0.1 + 0.25)
+        # At R = 0 a pair row has no distance-unit multiplier to carry.
+        assert factors[(FAMILY_PAIR, (0, 2))] > 0.0 == p.multiplier_factors(0.0)[3]
+
+
+def test_multiplier_factors_are_the_row_slopes_in_distance_units():
+    # On an active row h = 0, dg/dh is the ratio of the squared row's
+    # gradient to the gradient of its slack in distance units.
+    inst = Instance("d", [disk(0.0, 0.0, 0.2)])
+    r = 0.2
+    centers = np.array([[0.4, 0.0], [0.4, 2 * r], [-0.8 + 1e-9, 0.0]])
+    p = build_simple(Assignment((0, 2), (1,)), centers, inst, r_cap=0.5)
+    z = p.pack_start(centers, r)
+    slack = -p.linear_violations(z)
+    jac = p.jacobian(z)
+    factors = p.multiplier_factors(r)
+    eps = 1e-7
+    active = np.flatnonzero(np.abs(slack) < 1e-6)
+    assert sorted(p.tags[row][0] for row in active) == [
+        FAMILY_CONTAINMENT, FAMILY_PAIR, FAMILY_PROHIBITED
+    ]
+    for row in active:
+        col = 1 + int(np.argmax(np.abs(jac[row, 1:])))
+        zp = z.copy()
+        zp[col] += eps
+        ratio = jac[row, col] / ((-p.linear_violations(zp)[row] - slack[row]) / eps)
+        assert ratio == pytest.approx(factors[row], rel=1e-5), p.tags[row]
 
 
 def test_merit_gradient_matches_jacobian():

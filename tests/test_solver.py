@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import OptimizeResult
 
 from fsspack import solver
-from fsspack.formulation import Assignment, PairSets, build_nlp
+from fsspack.formulation import Assignment, PairSets, build_nlp, row_id_count
 from fsspack.geometry import (
     CartesianPoint,
     Instance,
@@ -14,6 +14,7 @@ from fsspack.geometry import (
     correct_radius,
     radius_upper_bound,
 )
+from fsspack.instances import builtin_instance
 from fsspack.solver import (
     CONVERGED,
     ITERATION_LIMIT,
@@ -275,3 +276,70 @@ def test_non_finite_gradient_on_the_jac_path_is_reported(monkeypatch):
     res = solve(p, p.pack_start(np.array([[0.3, 0.2]]), 0.1))
     assert res.status == NUMERICAL_FAILURE
     assert res.outer_iterations == 1
+
+
+def test_zero_multipliers_are_the_default():
+    centers = np.array([[0.2, 0.2], [0.21, 0.2]])
+    p = build_for(centers, Assignment((0,), (1,)))
+    start = p.pack_start(centers, 0.4)
+    cold = solve(p, start)
+    zeros = solve(p, start, np.zeros(p.m))
+    assert np.array_equal(cold.point, zeros.point)
+    assert np.array_equal(cold.multipliers, zeros.multipliers)
+    assert cold.merit_calls == zeros.merit_calls > 0
+    assert cold.multipliers.shape == (p.m,) and (cold.multipliers >= 0.0).all()
+
+
+def test_solve_rejects_bad_multipliers():
+    p = build_for([(0.3, 0.2)], Assignment((0,), ()))
+    start = p.pack_start(np.array([[0.3, 0.2]]), 0.1)
+    for bad in (np.zeros(p.m + 1), np.zeros(()), -np.ones(p.m), np.full(p.m, np.nan)):
+        with pytest.raises(ValueError, match="multipliers"):
+            solve(p, start, bad)
+
+
+def projected_lagrangian_gradient(problem, z, multipliers):
+    grad = problem.lagrangian_gradient(z, multipliers)
+    return np.max(np.abs(z - np.clip(z - grad, problem.lower, problem.upper)))
+
+
+def test_warm_start_survives_a_coordinate_flip():
+    # Solve, then re-pose the program with every circle's coordinates
+    # flipped, as the search does to some circles each iteration.  The
+    # exit multipliers, carried by row id in distance units, are still
+    # multipliers of the same KKT point: the warm solve confirms the
+    # radius in fewer merit calls than a cold one.
+    inst = builtin_instance(2)
+    n = 4
+    rng = np.random.default_rng(1)
+    angle, dist = rng.uniform(0.0, 2.0 * np.pi, n), rng.uniform(0.3, 0.9, n)
+    centers = np.column_stack((dist * np.cos(angle), dist * np.sin(angle)))
+    first = build_for(centers, Assignment((0, 2), (1, 3)), inst)
+    exit_ = solve(first, first.pack_start(centers, 0.05))
+    exit_centers = first.extract_centers(exit_.point)
+    radius = correct_radius(exit_centers, inst)
+
+    flipped = build_for(exit_centers, Assignment((1, 3), (0, 2)), inst)
+    start = flipped.pack_start(exit_centers, radius)
+    carried = np.zeros(row_id_count(n, inst.f_count))
+    carried[first.row_ids] = first.distance_multipliers(exit_.multipliers, exit_.point[0])
+    warm_multipliers = flipped.row_multipliers(carried[flipped.row_ids], start[0])
+    assert warm_multipliers.any()
+
+    # Re-scaled multipliers nearly annul the Lagrangian gradient at the
+    # flipped start; zeros, or the old rows' values unscaled, do not.
+    warm_kkt = projected_lagrangian_gradient(flipped, start, warm_multipliers)
+    unscaled = np.zeros_like(carried)
+    unscaled[first.row_ids] = exit_.multipliers
+    unscaled = unscaled[flipped.row_ids]
+    assert warm_kkt < 1e-4
+    assert projected_lagrangian_gradient(flipped, start, np.zeros(flipped.m)) > 100 * warm_kkt
+    assert projected_lagrangian_gradient(flipped, start, unscaled) > 100 * warm_kkt
+
+    warm = solve(flipped, start, warm_multipliers)
+    cold = solve(flipped, start)
+    for result in (warm, cold):
+        assert correct_radius(flipped.extract_centers(result.point), inst) == pytest.approx(
+            radius, abs=1e-9
+        )
+    assert warm.merit_calls < cold.merit_calls
