@@ -5,10 +5,11 @@ are boxed near their current centre, and pairs that provably cannot
 collide under those boxes are dropped before the solve.
 """
 
+from collections import Counter
+
 import numpy as np
 
 from fsspack import (
-    Assignment,
     Layout,
     build_nlp,
     builtin_instance,
@@ -32,22 +33,23 @@ def main() -> None:
 
     r_cap = radius_upper_bound(instance, n)
     delta = DELTA_FACTOR * r_cap
-    assignment = Assignment((0, 2, 4), (1, 3, 5))
+    # True marks a polar circle: circles 1, 3 and 5 here.
+    polar = np.arange(n) % 2 == 1
     print(f"instance {instance.name}: {instance.f_count} prohibited disks, "
           f"radius cap {r_cap:.6f}, box half-width {delta:.6f}")
 
-    pairs = prune_pairs(current, assignment, delta, r_cap, instance)
+    circle_pairs, clearances = prune_pairs(current, polar, delta, r_cap, instance)
     total_circle = n * (n - 1) // 2
     total_proh = n * instance.f_count
-    print(f"pairs kept: {len(pairs.circle_pairs)}/{total_circle} circle, "
-          f"{len(pairs.prohibited_pairs)}/{total_proh} prohibited")
+    print(f"pairs kept: {len(circle_pairs)}/{total_circle} circle, "
+          f"{len(clearances)}/{total_proh} prohibited")
 
-    problem = build_nlp(instance, assignment, current, delta, pairs, r_cap)
+    problem = build_nlp(instance, polar, current, delta, (circle_pairs, clearances), r_cap)
     print(f"variables: {problem.nv} (radius + two per circle)")
     print("constraint rows by family:")
+    counts = Counter(problem.row_tag(row)[0] for row in range(problem.m))
     for family in (FAMILY_CONTAINMENT, FAMILY_PAIR, FAMILY_PROHIBITED):
-        count = sum(1 for fam, _ in problem.tags if fam == family)
-        print(f"  {family:12s} {count}")
+        print(f"  {family:12s} {counts[family]}")
 
     result = solve(problem, problem.pack_start(centers, 0.0))
     corrected = correct_radius(problem.extract_centers(result.point), instance)
@@ -56,9 +58,9 @@ def main() -> None:
 
     # A tighter box prunes more aggressively.
     for factor in (1.0, 0.25, 0.05):
-        tight = prune_pairs(current, assignment, factor * delta, r_cap, instance)
-        print(f"delta x {factor:4.2f}: keeps {len(tight.circle_pairs)} circle pairs, "
-              f"{len(tight.prohibited_pairs)} prohibited pairs")
+        kept_pairs, kept_clear = prune_pairs(current, polar, factor * delta, r_cap, instance)
+        print(f"delta x {factor:4.2f}: keeps {len(kept_pairs)} circle pairs, "
+              f"{len(kept_clear)} prohibited pairs")
 
 
 if __name__ == "__main__":

@@ -19,12 +19,9 @@ from .engine import (
     run_replication,
 )
 from .formulation import (
-    Assignment,
     EvaluationError,
     NlpProblem,
-    PairSets,
     build_nlp,
-    evaluate,
     prune_pairs,
 )
 from .geometry import (
@@ -66,7 +63,6 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignment",
     "CartesianPoint",
     "CONVERGED",
     "EngineError",
@@ -81,7 +77,6 @@ __all__ = [
     "LayoutFormatError",
     "NlpProblem",
     "NUMERICAL_FAILURE",
-    "PairSets",
     "ProhibitedCircle",
     "ResultRow",
     "RunReport",
@@ -91,7 +86,6 @@ __all__ = [
     "builtin_catalogue",
     "builtin_instance",
     "correct_radius",
-    "evaluate",
     "format_radius",
     "gradient_check",
     "instance_from_name",

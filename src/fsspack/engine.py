@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formulation import Assignment, build_nlp, prune_pairs, row_id_count
+from .formulation import build_nlp, prune_pairs, row_id_count
 from .geometry import Instance, Layout, TWO_PI, correct_radius, radius_upper_bound, verify_layout
 from .solver import NUMERICAL_FAILURE, solve
 
@@ -129,12 +129,10 @@ def random_initial_layout(rng: np.random.Generator, n: int) -> Layout:
     return Layout(centers, 0.0)
 
 
-def random_assignment(rng: np.random.Generator, n: int) -> Assignment:
-    """Independent coin per circle: draws of 0.5 or less go Cartesian."""
-    draws = rng.random(n)
-    cart = tuple(i for i in range(n) if draws[i] <= 0.5)
-    polar = tuple(i for i in range(n) if draws[i] > 0.5)
-    return Assignment(cart, polar)
+def random_assignment(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Independent coin per circle, as a polar mask: True (polar) for a
+    draw above 0.5, so a draw of 0.5 or less goes Cartesian."""
+    return rng.random(n) > 0.5
 
 
 def run_replication(
@@ -144,7 +142,7 @@ def run_replication(
     n = config.n
     r_cap = radius_upper_bound(instance, n)
     current = random_initial_layout(rng, n)
-    assignment = random_assignment(rng, n)
+    polar = random_assignment(rng, n)
     delta = DELTA_FACTOR * r_cap
 
     best_radius = 0.0
@@ -156,8 +154,8 @@ def run_replication(
 
     for t in range(config.iterations):
         tic = time.perf_counter()
-        pairs = prune_pairs(current, assignment, delta, r_cap, instance)
-        problem = build_nlp(instance, assignment, current, delta, pairs, r_cap)
+        pairs = prune_pairs(current, polar, delta, r_cap, instance)
+        problem = build_nlp(instance, polar, current, delta, pairs, r_cap)
         start = problem.pack_start(current.centers, min(max(previous_r_star, 0.0), r_cap))
         multipliers = problem.row_multipliers(carried[problem.row_ids], start[0])
         result = solve(problem, start, multipliers)
@@ -182,7 +180,7 @@ def run_replication(
                 r_star=r_star,
                 r_best=best_radius,
                 delta=delta,
-                cart_count=len(assignment.cart),
+                cart_count=n - int(np.count_nonzero(polar)),
                 status=result.status,
                 outer_rounds=result.outer_iterations,
                 merit_calls=result.merit_calls,
@@ -195,7 +193,7 @@ def run_replication(
         delta = DELTA_FACTOR * (r_star if r_star > 0.0 else r_cap)
         previous_r_star = r_star
         current = Layout(new_centers, r_star)
-        assignment = random_assignment(rng, n)
+        polar = random_assignment(rng, n)
 
     return Layout(best_centers.copy(), best_radius), traces
 

@@ -3,7 +3,11 @@
 One search iteration fixes which circles use Cartesian coordinates and
 which use polar, limits how far each Cartesian centre may move, prunes
 pairs that provably cannot collide, and hands the solver a smooth
-inequality program in the canonical orientation g(z) >= 0.
+inequality program in the canonical orientation g(z) >= 0.  The
+structure stays in arrays throughout: the coordinate choice is a bool
+mask, True where a circle is polar, and prune_pairs returns the kept
+circle pairs and (circle, disk) clearances as (q, 2) and (c, 2) index
+arrays, which build_nlp takes as they are.
 
 Variable layout: the common radius first, then (x, y) per Cartesian
 circle in index order, then (r, theta) per polar circle in index order.
@@ -38,12 +42,14 @@ numbers containment of circle i as i, the pair {i, j} (i < j) as
 n + i*n + j, and clearance of circle i from disk f as n + n^2 + i*k + f,
 with k prohibited disks.  Rows of two programs for the same n and
 instance that share an id are the same geometric constraint, whatever
-the coordinate choice or pruning.  multiplier_factors gives each row's
-dg/dh, with h the row's slack in distance units: 2*(alpha + beta*R) on
-the squared rows and 1 on the linear polar containment.  A multiplier
-times its factor is the multiplier of the distance-unit constraint,
-which does not depend on the row's form; distance_multipliers and
-row_multipliers map between the two.
+the coordinate choice or pruning.  The ids are all the program keeps of
+which circles a row joins: NlpProblem.row_tag decodes one into the
+row's family and circles, for diagnostics.  multiplier_factors gives
+each row's dg/dh, with h the row's slack in distance units:
+2*(alpha + beta*R) on the squared rows and 1 on the linear polar
+containment.  A multiplier times its factor is the multiplier of the
+distance-unit constraint, which does not depend on the row's form;
+distance_multipliers and row_multipliers map between the two.
 
 Finiteness is checked once per use.  constraint_values raises
 EvaluationError naming the family and circles of the first non-finite
@@ -55,8 +61,6 @@ NlpProblem.augmented_lagrangian).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -64,7 +68,7 @@ from .geometry import Instance, Layout, TWO_PI
 
 ROOT2 = math.sqrt(2.0)
 
-# Constraint family ids, used in tags and diagnostics.
+# Constraint family ids, as NlpProblem.row_tag names them.
 FAMILY_CONTAINMENT = "containment"
 FAMILY_PAIR = "pair"
 FAMILY_PROHIBITED = "prohibited"
@@ -79,131 +83,112 @@ class EvaluationError(RuntimeError):
     """Raised when a constraint evaluates to a non-finite value."""
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """Partition of circle indices into Cartesian and polar sets."""
+def _check_inputs(polar: np.ndarray, n: int, delta: float, r_cap: float) -> np.ndarray:
+    """The polar mask as an array, after checking it and the box sizes.
 
-    cart: tuple[int, ...]
-    polar: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cart", tuple(sorted(self.cart)))
-        object.__setattr__(self, "polar", tuple(sorted(self.polar)))
-        n = len(self.cart) + len(self.polar)
-        combined = set(self.cart) | set(self.polar)
-        if len(combined) != n or combined != set(range(n)):
-            raise ValueError("cart and polar must partition 0..n-1")
-
-    @property
-    def n(self) -> int:
-        return len(self.cart) + len(self.polar)
-
-
-@dataclass
-class PairSets:
-    """Pairs kept after pruning: circle/circle and (circle, prohibited)."""
-
-    circle_pairs: list[tuple[int, int]]
-    prohibited_pairs: list[tuple[int, int]]
+    An integer array would index circles instead of masking them, so the
+    mask must be bool, one entry per circle.  NaN fails every comparison,
+    so the box sizes are tested by what they must be.
+    """
+    polar = np.asarray(polar)
+    if polar.dtype != bool or polar.shape != (n,):
+        raise ValueError(
+            f"polar must be a bool mask of shape ({n},), got {polar.dtype} of shape {polar.shape}"
+        )
+    if not delta >= 0.0:
+        raise ValueError(f"delta must be nonnegative, got {delta}")
+    if not r_cap >= 0.0:
+        raise ValueError(f"r_cap must be nonnegative, got {r_cap}")
+    return polar
 
 
 def prune_pairs(
     current: Layout,
-    assignment: Assignment,
+    polar: np.ndarray,
     delta: float,
     r_cap: float,
     instance: Instance,
-) -> PairSets:
+) -> tuple[np.ndarray, np.ndarray]:
     """Drop pairs that cannot collide under the movement limits.
 
     A Cartesian centre moves at most sqrt(2)*delta from its box centre,
     so a Cartesian pair further apart than 2*r_cap + 2*sqrt(2)*delta can
     never touch, and a Cartesian circle further than r_cap + R_f +
     sqrt(2)*delta from a prohibited disk can never reach it.  Polar
-    circles are unboxed, so every pair touching one is kept.
+    circles (True in the mask) are unboxed, so every pair touching one is
+    kept.
+
+    Returns the kept circle pairs (i, j), i < j, in np.triu_indices order,
+    and the kept clearances (circle, disk) in row-major order, as intp
+    arrays of shape (q, 2) and (c, 2).
     """
-    if delta < 0.0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
-    n = assignment.n
     pts = current.centers
-    if pts.shape[0] != n:
-        raise ValueError(f"layout holds {pts.shape[0]} centres, assignment expects {n}")
-    in_cart = np.zeros(n, dtype=bool)
-    in_cart[list(assignment.cart)] = True
+    in_cart = ~_check_inputs(polar, pts.shape[0], delta, r_cap)
+    iu, ju = np.triu_indices(pts.shape[0], k=1)
+    dist = np.hypot(pts[iu, 0] - pts[ju, 0], pts[iu, 1] - pts[ju, 1])
+    prunable = in_cart[iu] & in_cart[ju] & (dist - 2.0 * ROOT2 * delta >= 2.0 * r_cap)
+    circle_pairs = np.column_stack((iu[~prunable], ju[~prunable]))
 
-    circle_pairs: list[tuple[int, int]] = []
-    if n >= 2:
-        iu, ju = np.triu_indices(n, k=1)
-        dist = np.hypot(pts[iu, 0] - pts[ju, 0], pts[iu, 1] - pts[ju, 1])
-        prunable = in_cart[iu] & in_cart[ju] & (dist - 2.0 * ROOT2 * delta >= 2.0 * r_cap)
-        circle_pairs = [(int(i), int(j)) for i, j in zip(iu[~prunable], ju[~prunable])]
-
-    prohibited_pairs: list[tuple[int, int]] = []
     fc = instance.prohibited_centers()
-    fr = instance.prohibited_radii()
-    if fc.shape[0]:
-        d = np.hypot(pts[:, None, 0] - fc[None, :, 0], pts[:, None, 1] - fc[None, :, 1])
-        prunable = in_cart[:, None] & (d - ROOT2 * delta >= r_cap + fr[None, :])
-        keep_i, keep_f = np.nonzero(~prunable)
-        prohibited_pairs = [(int(i), int(f)) for i, f in zip(keep_i, keep_f)]
-
-    return PairSets(circle_pairs, prohibited_pairs)
+    d = np.hypot(pts[:, None, 0] - fc[None, :, 0], pts[:, None, 1] - fc[None, :, 1])
+    prunable = in_cart[:, None] & (d - ROOT2 * delta >= r_cap + instance.prohibited_radii())
+    return circle_pairs, np.argwhere(~prunable)
 
 
 class NlpProblem:
     """One smooth inequality program: maximise the common radius.
 
-    Built by build_nlp.  Public data: n, nv, m, lower, upper, tags,
-    row_ids, cart, polar, var_a, var_b (index of each circle's first and
-    second variable), r_cap.  Rows come in family order: containment for
-    every circle in slot order, then one separation row per retained
-    circle pair, then one clearance row per retained (circle, prohibited
-    disk) pair.
+    Built by build_nlp.  Public data: n, nv, m, lower, upper, polar (the
+    bool mask, True where a circle is polar), row_ids (see row_tag),
+    var_a, var_b (index of each circle's first and second variable).
+    Rows come in family order: containment for every circle in slot
+    order, then one separation row per retained circle pair, then one
+    clearance row per retained (circle, prohibited disk) pair.
     """
 
     def __init__(
         self,
-        cart: np.ndarray,
+        instance: Instance,
         polar: np.ndarray,
         lower: np.ndarray,
         upper: np.ndarray,
-        tags: list[tuple[str, tuple[int, ...]]],
-        row_ids: np.ndarray,
-        r_cap: float,
         circle_pairs: np.ndarray,
         clearances: np.ndarray,
-        disks: np.ndarray,
     ) -> None:
-        self.cart = cart
         self.polar = polar
         self.lower = lower
         self.upper = upper
-        self.tags = tags
-        self.row_ids = row_ids
-        self.r_cap = r_cap
-        self.n = n = len(cart) + len(polar)
+        self.n = n = len(polar)
         self.nv = 2 * n + 1
-        self.m = m = len(tags)
-        self._nc = nc = len(cart)
-        self._order = np.concatenate((cart, polar))
+        self._k = k = instance.f_count
+        self._nc = nc = n - int(np.count_nonzero(polar))
+        self._order = np.concatenate((np.flatnonzero(~polar), np.flatnonzero(polar)))
         slot = np.empty(n, dtype=np.intp)
         slot[self._order] = np.arange(n)
         self.var_a = 1 + 2 * slot
         self.var_b = 2 + 2 * slot
 
+        # Row ids as the module docstring numbers them; row_tag decodes them.
+        circle, f = clearances.T
+        low, high = np.sort(circle_pairs, axis=1).T
+        self.row_ids = np.concatenate(
+            (self._order, n + low * n + high, n + n * n + circle * k + f)
+        )
+        self.m = m = len(self.row_ids)
+
         # The point array after the n slot centres: the origin, then the
         # disk of each clearance row, as interleaved (x, y).
-        self._fixed = np.concatenate(([0.0, 0.0], disks[:, :2].ravel()))
+        self._fixed = np.concatenate(([0.0, 0.0], instance.prohibited_centers()[f].ravel()))
 
         # Ends a and b of every row, and its alpha, beta and sign.  A polar
         # containment row has a = b and sign 0, so the row form gives it
         # no value and no centre partial; it is the linear 1 - R - r.
         q, slots = len(circle_pairs), np.arange(n)
-        self._ia = np.concatenate((slots, slot[circle_pairs[:, 0]], slot[clearances]))
+        self._ia = np.concatenate((slots, slot[circle_pairs[:, 0]], slot[circle]))
         self._ib = np.concatenate(
             (np.full(nc, n), slots[nc:], slot[circle_pairs[:, 1]], n + 1 + np.arange(m - n - q))
         )
-        self._alpha = np.concatenate((np.ones(n), np.zeros(q), disks[:, 2]))
+        self._alpha = np.concatenate((np.ones(n), np.zeros(q), instance.prohibited_radii()[f]))
         self._beta = np.concatenate(
             (np.full(nc, -1.0), np.zeros(n - nc), np.full(q, 2.0), np.ones(m - n - q))
         )
@@ -279,9 +264,22 @@ class NlpProblem:
         grad[1 + 2 * nc :: 2] += weights[nc : self.n]
         return grad
 
+    def row_tag(self, row: int) -> tuple[str, tuple[int, ...]]:
+        """Family and circles of a row, decoded from its id.
+
+        (containment, (i,)), (pair, (i, j)) with i < j, or (prohibited,
+        (i, f)) for circle i and prohibited disk f.
+        """
+        n, row_id = self.n, int(self.row_ids[row])
+        if row_id < n:
+            return FAMILY_CONTAINMENT, (row_id,)
+        if row_id < n + n * n:
+            return FAMILY_PAIR, divmod(row_id - n, n)
+        return FAMILY_PROHIBITED, divmod(row_id - n - n * n, self._k)
+
     def _require_finite(self, row_ok: np.ndarray, what: str) -> None:
         if not row_ok.all():
-            family, who = self.tags[int(np.argmin(row_ok))]
+            family, who = self.row_tag(int(np.argmin(row_ok)))
             raise EvaluationError(
                 f"non-finite {what} in {family} family constraint for indices {who}"
             )
@@ -413,85 +411,45 @@ class NlpProblem:
 
 def build_nlp(
     instance: Instance,
-    assignment: Assignment,
+    polar: np.ndarray,
     current: Layout,
     delta: float,
-    pairs: PairSets,
+    pairs: tuple[np.ndarray, np.ndarray],
     r_cap: float,
 ) -> NlpProblem:
     """Assemble the program for one solve.
 
-    Movement limits apply to Cartesian circles only and are intersected
-    with the container box [-1, 1]; polar circles get the full (r, theta)
-    box.  The retained pairs decide which separation and clearance
-    constraints appear.
+    polar is the bool mask of polar circles.  Movement limits apply to
+    Cartesian circles only and are intersected with the container box
+    [-1, 1]; polar circles get the full (r, theta) box.  pairs holds the
+    retained circle pairs and (circle, disk) clearances, as prune_pairs
+    returns them; they decide which separation and clearance constraints
+    appear.
     """
-    n = assignment.n
-    if current.centers.shape[0] != n:
-        raise ValueError(
-            f"layout holds {current.centers.shape[0]} centres, assignment expects {n}"
-        )
-    if delta < 0.0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
-    if r_cap < 0.0:
-        raise ValueError(f"r_cap must be nonnegative, got {r_cap}")
-
-    cart = np.array(assignment.cart, dtype=np.intp)
-    polar = np.array(assignment.polar, dtype=np.intp)
+    n = current.centers.shape[0]
+    polar = _check_inputs(polar, n, delta, r_cap)
+    circle_pairs, clearances = (np.asarray(p, dtype=np.intp).reshape(-1, 2) for p in pairs)
+    i, j = circle_pairs.T
+    bad = (np.minimum(i, j) < 0) | (np.maximum(i, j) >= n) | (i == j)
+    if bad.any():
+        i, j = circle_pairs[np.argmax(bad)]
+        raise ValueError(f"pair ({i}, {j}) references circles outside the assignment")
+    i, f = clearances.T
+    bad = (i < 0) | (i >= n) | (f < 0) | (f >= instance.f_count)
+    if bad.any():
+        i, f = clearances[np.argmax(bad)]
+        raise ValueError(f"pair ({i}, {f}) references an unknown circle or disk")
 
     # Bounds in the variable layout: (x, y) per Cartesian slot, then
     # (r, theta) per polar slot.
-    nc = len(cart)
+    boxed = current.centers[~polar]
+    nc = len(boxed)
     lower = np.empty(2 * n + 1, dtype=float)
     upper = np.empty(2 * n + 1, dtype=float)
     lower[0], upper[0] = 0.0, r_cap
-    boxed = current.centers[cart]
     lower[1 : 1 + 2 * nc] = np.maximum(-1.0, boxed - delta).ravel()
     upper[1 : 1 + 2 * nc] = np.minimum(1.0, boxed + delta).ravel()
     lower[1 + 2 * nc :] = 0.0
     upper[1 + 2 * nc :: 2] = 1.0
     upper[2 + 2 * nc :: 2] = TWO_PI
-
-    k = instance.f_count
-    tags: list[tuple[str, tuple[int, ...]]] = [
-        (FAMILY_CONTAINMENT, (i,)) for i in assignment.cart + assignment.polar
-    ]
-    for i, j in pairs.circle_pairs:
-        if not (0 <= i < n and 0 <= j < n and i != j):
-            raise ValueError(f"pair ({i}, {j}) references circles outside the assignment")
-        tags.append((FAMILY_PAIR, (i, j)))
-    for i, f in pairs.prohibited_pairs:
-        if not (0 <= i < n and 0 <= f < k):
-            raise ValueError(f"pair ({i}, {f}) references an unknown circle or disk")
-        tags.append((FAMILY_PROHIBITED, (i, f)))
-
-    circle_pairs = np.array(pairs.circle_pairs, dtype=np.intp).reshape(-1, 2)
-    clear = np.array(pairs.prohibited_pairs, dtype=np.intp).reshape(-1, 2)
-    f = clear[:, 1]
-    disks = np.column_stack(
-        (instance.prohibited_centers()[f], instance.prohibited_radii()[f])
-    )
-    low, high = np.sort(circle_pairs, axis=1).T
-    row_ids = np.concatenate((cart, polar, n + low * n + high, n + n * n + clear[:, 0] * k + f))
-    return NlpProblem(
-        cart, polar, lower, upper, tags, row_ids, r_cap, circle_pairs, clear[:, 0], disks
-    )
-
-
-def evaluate(
-    problem: NlpProblem, point: Sequence[float]
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Objective, constraint values, and their analytic gradients.
-
-    Returns (objective, constraints, objective_gradient, jacobian) with
-    the objective being the common radius (to maximise) and constraints
-    in the canonical g >= 0 orientation.
-    """
-    z = np.asarray(point, dtype=float)
-    if z.shape != (problem.nv,):
-        raise ValueError(f"point must have shape ({problem.nv},), got {z.shape}")
-    values = problem.constraint_values(z)
-    jac = problem.jacobian(z)
-    grad_obj = np.zeros(problem.nv, dtype=float)
-    grad_obj[0] = 1.0
-    return float(z[0]), values, grad_obj, jac
+    return NlpProblem(instance, polar, lower, upper, circle_pairs, clearances)

@@ -14,7 +14,7 @@ import pytest
 
 from fsspack.cli import main as cli_main
 from fsspack.engine import FssConfig, run
-from fsspack.formulation import Assignment, PairSets, build_nlp, prune_pairs
+from fsspack.formulation import build_nlp, prune_pairs
 from fsspack.geometry import (
     CartesianPoint,
     Instance,
@@ -203,8 +203,7 @@ def test_c6_analytic_derivatives_match_finite_differences():
     for _ in range(100):
         n = int(rng.integers(2, 6))
         pts = rng.uniform(-0.6, 0.6, size=(n, 2))
-        cart = tuple(i for i in range(n) if rng.random() < 0.5)
-        polar = tuple(i for i in range(n) if i not in cart)
+        polar = np.array([rng.random() >= 0.5 for _ in range(n)])
         k = int(rng.integers(0, 3))
         disks = [
             ProhibitedCircle(
@@ -213,13 +212,8 @@ def test_c6_analytic_derivatives_match_finite_differences():
             for _ in range(k)
         ]
         inst = Instance("random", disks)
-        pairs = PairSets(
-            [(i, j) for i in range(n) for j in range(i + 1, n)],
-            [(i, f) for i in range(n) for f in range(k)],
-        )
-        problem = build_nlp(
-            inst, Assignment(cart, polar), Layout(pts, 0.0), 0.5, pairs, 0.7
-        )
+        pairs = (np.column_stack(np.triu_indices(n, k=1)), np.indices((n, k)).reshape(2, -1).T)
+        problem = build_nlp(inst, polar, Layout(pts, 0.0), 0.5, pairs, 0.7)
         z = problem.pack_start(pts, float(rng.uniform(0.05, 0.3)))
         # Keep the point interior so central differences stay in bounds.
         z = np.clip(z, problem.lower + 1e-4, problem.upper - 1e-4)
@@ -244,11 +238,10 @@ def test_c7_pruning_never_changes_the_reachable_optimum():
         pts = rng.uniform(-0.95, 0.95, size=(n, 2))
         delta = float(rng.uniform(0.0, 0.25))
         r_cap = float(rng.uniform(0.05, radius_upper_bound(inst, n)))
-        cart = tuple(i for i in range(n) if rng.random() < 0.7)
-        a = Assignment(cart, tuple(i for i in range(n) if i not in cart))
-        kept = prune_pairs(Layout(pts, 0.0), a, delta, r_cap, inst)
-        kept_c = set(kept.circle_pairs)
-        kept_f = set(kept.prohibited_pairs)
+        polar = np.array([rng.random() >= 0.7 for _ in range(n)])
+        circle_pairs, clearances = prune_pairs(Layout(pts, 0.0), polar, delta, r_cap, inst)
+        kept_c = set(map(tuple, circle_pairs.tolist()))
+        kept_f = set(map(tuple, clearances.tolist()))
         for i in range(n):
             for j in range(i + 1, n):
                 if (i, j) in kept_c:
@@ -272,22 +265,20 @@ def test_c7_pruning_never_changes_the_reachable_optimum():
     for trial in range(12):
         n = int(rng.integers(3, 6))
         lay = Layout(rng.uniform(-0.85, 0.85, size=(n, 2)), 0.0)
-        a = Assignment(tuple(range(n)), ())
+        polar = np.zeros(n, dtype=bool)
         r_cap = radius_upper_bound(inst, n)
         delta = 0.05
-        kept = prune_pairs(lay, a, delta, r_cap, inst)
-        full = PairSets(
-            [(i, j) for i in range(n) for j in range(i + 1, n)],
-            [(i, f) for i in range(n) for f in range(len(fr))],
+        kept = prune_pairs(lay, polar, delta, r_cap, inst)
+        full = (
+            np.column_stack(np.triu_indices(n, k=1)),
+            np.indices((n, len(fr))).reshape(2, -1).T,
         )
-        n_pruned = (len(full.circle_pairs) + len(full.prohibited_pairs)) - (
-            len(kept.circle_pairs) + len(kept.prohibited_pairs)
-        )
+        n_pruned = sum(len(rows) for rows in full) - sum(len(rows) for rows in kept)
         if n_pruned == 0:
             continue
         best = {}
         for label, pairs in (("pruned", kept), ("full", full)):
-            problem = build_nlp(inst, a, lay, delta, pairs, r_cap)
+            problem = build_nlp(inst, polar, lay, delta, pairs, r_cap)
             res = solve(problem, problem.pack_start(lay.centers, 0.0))
             best[label] = correct_radius(problem.extract_centers(res.point), inst)
         solves += 1

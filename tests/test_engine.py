@@ -80,14 +80,14 @@ def test_initial_layout_draw_order():
 
 
 def test_assignment_boundary_is_cartesian():
-    a = random_assignment(StubRng([0.5, 0.5000000001, 0.0, 0.7]), 4)
-    assert a.cart == (0, 2)
-    assert a.polar == (1, 3)
+    polar = random_assignment(StubRng([0.5, 0.5000000001, 0.0, 0.7]), 4)
+    assert polar.dtype == bool
+    assert polar.tolist() == [False, True, False, True]
 
 
 def test_assignment_is_roughly_balanced():
     rng = replication_rng(1, 0)
-    counts = [len(random_assignment(rng, 20).cart) for _ in range(500)]
+    counts = [np.count_nonzero(~random_assignment(rng, 20)) for _ in range(500)]
     assert 8.5 <= np.mean(counts) <= 11.5
 
 

@@ -1,4 +1,4 @@
-"""Assignment, pair pruning, and the assembled nonlinear program."""
+"""Polar masks, pair pruning, and the assembled nonlinear program."""
 
 import math
 
@@ -9,11 +9,8 @@ from fsspack.formulation import (
     FAMILY_CONTAINMENT,
     FAMILY_PAIR,
     FAMILY_PROHIBITED,
-    Assignment,
     EvaluationError,
-    PairSets,
     build_nlp,
-    evaluate,
     prune_pairs,
     row_id_count,
 )
@@ -26,34 +23,40 @@ def disk(x, y, r):
     return ProhibitedCircle(CartesianPoint(x, y), r)
 
 
+def mask(n, *polar):
+    # Polar mask of n circles, True at the given indices.
+    out = np.zeros(n, dtype=bool)
+    out[list(polar)] = True
+    return out
+
+
 def row_of(problem, family, who):
-    # Every constraint row is tagged (family, circle indices).
-    for idx, tag in enumerate(problem.tags):
-        if tag == (family, tuple(who)):
-            return idx
+    # row_tag decodes each row's id into (family, circle indices).
+    for row in range(problem.m):
+        if problem.row_tag(row) == (family, tuple(who)):
+            return row
     raise AssertionError(f"no row tagged ({family}, {who})")
 
 
 def all_pairs(n, k):
-    circle = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    prohibited = [(i, f) for i in range(n) for f in range(k)]
-    return PairSets(circle, prohibited)
+    # Every circle pair in triu order, every (circle, disk) in row-major order.
+    return np.column_stack(np.triu_indices(n, k=1)), np.indices((n, k)).reshape(2, -1).T
 
 
-# --- assignment ------------------------------------------------------------
+# --- polar mask ------------------------------------------------------------
 
 
-def test_assignment_normalises_and_validates():
-    a = Assignment((2, 0), (1,))
-    assert a.cart == (0, 2)
-    assert a.polar == (1,)
-    assert a.n == 3
-    with pytest.raises(ValueError):
-        Assignment((0,), (0,))
-    with pytest.raises(ValueError):
-        Assignment((0, 2), ())
-    with pytest.raises(ValueError):
-        Assignment((), (0, 0, 1))
+def test_polar_mask_is_validated():
+    # Integer indices would be read as fancy indexing, not as a mask.
+    lay = Layout(np.array([[0.0, 0.0], [0.5, 0.0], [-0.5, 0.0]]), 0.0)
+    pairs = all_pairs(3, 0)
+    for bad in (np.array([0, 1, 0]), [2], mask(2, 1), mask(4), np.zeros((3, 1), dtype=bool)):
+        with pytest.raises(ValueError, match="bool mask of shape"):
+            prune_pairs(lay, bad, 0.1, 0.3, EMPTY)
+        with pytest.raises(ValueError, match="bool mask of shape"):
+            build_nlp(EMPTY, bad, lay, 0.1, pairs, 0.3)
+    p = build_nlp(EMPTY, [False, True, False], lay, 0.1, pairs, 0.3)
+    assert p.polar.tolist() == [False, True, False]
 
 
 # --- frozen constraint values ----------------------------------------------
@@ -61,15 +64,15 @@ def test_assignment_normalises_and_validates():
 # hand; exact-in-double cases use equality.
 
 
-def build_simple(assignment, centers, instance=EMPTY, delta=2.0, r_cap=1.0, pairs=None):
+def build_simple(polar, centers, instance=EMPTY, delta=2.0, r_cap=1.0, pairs=None):
     lay = Layout(np.asarray(centers, dtype=float), 0.0)
     if pairs is None:
-        pairs = all_pairs(assignment.n, instance.f_count)
-    return build_nlp(instance, assignment, lay, delta, pairs, r_cap)
+        pairs = all_pairs(len(polar), instance.f_count)
+    return build_nlp(instance, polar, lay, delta, pairs, r_cap)
 
 
 def test_value_containment_cartesian():
-    p = build_simple(Assignment((0,), ()), [(0.3, 0.4)])
+    p = build_simple(mask(1), [(0.3, 0.4)])
     z = p.pack_start(np.array([[0.3, 0.4]]), 0.2)
     g = p.constraint_values(z)
     # (1 - 0.2)^2 - 0.3^2 - 0.4^2
@@ -77,21 +80,21 @@ def test_value_containment_cartesian():
 
 
 def test_value_containment_polar():
-    p = build_simple(Assignment((), (0,)), [(0.5, 0.0)])
+    p = build_simple(mask(1, 0), [(0.5, 0.0)])
     z = p.pack_start(np.array([[0.5, 0.0]]), 0.2)
     g = p.constraint_values(z)
     assert g[row_of(p, FAMILY_CONTAINMENT, (0,))] == pytest.approx(0.3, abs=1e-15)
 
 
 def test_value_pair_cart_cart():
-    p = build_simple(Assignment((0, 1), ()), [(0.0, 0.0), (1.0, 0.0)])
+    p = build_simple(mask(2), [(0.0, 0.0), (1.0, 0.0)])
     z = p.pack_start(np.array([[0.0, 0.0], [1.0, 0.0]]), 0.25)
     g = p.constraint_values(z)
     assert g[row_of(p, FAMILY_PAIR, (0, 1))] == 0.75
 
 
 def test_value_pair_polar_polar():
-    p = build_simple(Assignment((), (0, 1)), [(0.5, 0.0), (-0.5, 0.0)])
+    p = build_simple(mask(2, 0, 1), [(0.5, 0.0), (-0.5, 0.0)])
     z = p.pack_start(np.array([[0.5, 0.0], [-0.5, 0.0]]), 0.5)
     g = p.constraint_values(z)
     # Antipodal at radius 0.5: separation exactly matches touching circles.
@@ -99,7 +102,7 @@ def test_value_pair_polar_polar():
 
 
 def test_value_pair_cart_polar():
-    p = build_simple(Assignment((0,), (1,)), [(0.5, 0.0), (-0.5, 0.0)])
+    p = build_simple(mask(2, 1), [(0.5, 0.0), (-0.5, 0.0)])
     z = p.pack_start(np.array([[0.5, 0.0], [-0.5, 0.0]]), 0.25)
     g = p.constraint_values(z)
     assert g[row_of(p, FAMILY_PAIR, (0, 1))] == pytest.approx(0.75, abs=1e-12)
@@ -107,7 +110,7 @@ def test_value_pair_cart_polar():
 
 def test_value_prohibited_cartesian():
     inst = Instance("d", [disk(0.0, 0.0, 0.2)])
-    p = build_simple(Assignment((0,), ()), [(0.5, 0.0)], inst)
+    p = build_simple(mask(1), [(0.5, 0.0)], inst)
     z = p.pack_start(np.array([[0.5, 0.0]]), 0.1)
     g = p.constraint_values(z)
     assert g[row_of(p, FAMILY_PROHIBITED, (0, 0))] == pytest.approx(0.16, abs=1e-15)
@@ -115,7 +118,7 @@ def test_value_prohibited_cartesian():
 
 def test_value_prohibited_polar():
     inst = Instance("d", [disk(0.0, 0.5, 0.1)])
-    p = build_simple(Assignment((), (0,)), [(0.6, 0.0)], inst)
+    p = build_simple(mask(1, 0), [(0.6, 0.0)], inst)
     z = p.pack_start(np.array([[0.6, 0.0]]), 0.2)
     g = p.constraint_values(z)
     assert g[row_of(p, FAMILY_PROHIBITED, (0, 0))] == pytest.approx(0.52, abs=1e-12)
@@ -127,14 +130,10 @@ def test_coordinate_systems_agree():
     inst = Instance("d", [disk(0.2, 0.3, 0.1)])
     centers = np.array([[0.31, -0.22], [-0.47, 0.11], [0.05, 0.58]])
     tagged = []
-    for a in (
-        Assignment((0, 1, 2), ()),
-        Assignment((), (0, 1, 2)),
-        Assignment((0, 2), (1,)),
-    ):
-        p = build_simple(a, centers, inst)
+    for polar in (mask(3), mask(3, 0, 1, 2), mask(3, 1)):
+        p = build_simple(polar, centers, inst)
         lv = p.linear_violations(p.pack_start(centers, 0.17))
-        tagged.append(dict(zip(p.tags, lv)))
+        tagged.append(dict(zip(p.row_ids.tolist(), lv)))
     assert tagged[0].keys() == tagged[1].keys() == tagged[2].keys()
     for key, value in tagged[0].items():
         assert tagged[1][key] == pytest.approx(value, abs=1e-12), key
@@ -146,27 +145,26 @@ def test_coordinate_systems_agree():
 
 def test_prune_drops_far_cartesian_pair():
     lay = Layout(np.array([[-0.9, 0.0], [0.9, 0.0]]), 0.0)
-    a = Assignment((0, 1), ())
-    pairs = prune_pairs(lay, a, 0.01, 0.3, EMPTY)
-    assert pairs.circle_pairs == []
+    circle_pairs, _ = prune_pairs(lay, mask(2), 0.01, 0.3, EMPTY)
+    assert circle_pairs.shape == (0, 2)
     # The same geometry with one polar circle is never pruned.
-    pairs = prune_pairs(lay, Assignment((0,), (1,)), 0.01, 0.3, EMPTY)
-    assert pairs.circle_pairs == [(0, 1)]
+    circle_pairs, _ = prune_pairs(lay, mask(2, 1), 0.01, 0.3, EMPTY)
+    assert circle_pairs.tolist() == [[0, 1]]
 
 
 def test_prune_keeps_near_cartesian_pair():
     lay = Layout(np.array([[-0.2, 0.0], [0.2, 0.0]]), 0.0)
-    pairs = prune_pairs(lay, Assignment((0, 1), ()), 0.01, 0.3, EMPTY)
-    assert pairs.circle_pairs == [(0, 1)]
+    circle_pairs, _ = prune_pairs(lay, mask(2), 0.01, 0.3, EMPTY)
+    assert circle_pairs.tolist() == [[0, 1]]
 
 
 def test_prune_prohibited_clearance():
     inst = Instance("d", [disk(-0.9, 0.0, 0.05)])
     lay = Layout(np.array([[0.9, 0.0]]), 0.0)
-    pairs = prune_pairs(lay, Assignment((0,), ()), 0.01, 0.3, inst)
-    assert pairs.prohibited_pairs == []
-    pairs = prune_pairs(lay, Assignment((), (0,)), 0.01, 0.3, inst)
-    assert pairs.prohibited_pairs == [(0, 0)]
+    _, clearances = prune_pairs(lay, mask(1), 0.01, 0.3, inst)
+    assert clearances.shape == (0, 2)
+    _, clearances = prune_pairs(lay, mask(1, 0), 0.01, 0.3, inst)
+    assert clearances.tolist() == [[0, 0]]
 
 
 def box_gap(ci, cj, delta):
@@ -189,25 +187,23 @@ def test_pruned_pairs_cannot_collide():
         pts = rng.uniform(-0.95, 0.95, size=(n, 2))
         delta = float(rng.uniform(0.0, 0.2))
         r_cap = float(rng.uniform(0.05, 0.4))
-        cart = tuple(i for i in range(n) if rng.random() < 0.7)
-        polar = tuple(i for i in range(n) if i not in cart)
-        a = Assignment(cart, polar)
+        polar = np.array([rng.random() >= 0.7 for _ in range(n)])
         lay = Layout(pts, 0.0)
-        kept = prune_pairs(lay, a, delta, r_cap, inst)
-        kept_circle = set(kept.circle_pairs)
-        kept_proh = set(kept.prohibited_pairs)
+        circle_pairs, clearances = prune_pairs(lay, polar, delta, r_cap, inst)
+        kept_circle = set(map(tuple, circle_pairs.tolist()))
+        kept_proh = set(map(tuple, clearances.tolist()))
         for i in range(n):
             for j in range(i + 1, n):
                 if (i, j) in kept_circle:
                     continue
                 pruned_seen += 1
-                assert i in cart and j in cart
+                assert not polar[i] and not polar[j]
                 assert box_gap(pts[i], pts[j], delta) >= 2.0 * r_cap - 1e-12
             for f in range(inst.f_count):
                 if (i, f) in kept_proh:
                     continue
                 pruned_seen += 1
-                assert i in cart
+                assert not polar[i]
                 fc = inst.prohibited_centers()[f]
                 fr = float(inst.prohibited_radii()[f])
                 # Nearest reachable point of the movement box to the disk.
@@ -221,7 +217,22 @@ def test_pruned_pairs_cannot_collide():
 def test_prune_rejects_negative_delta():
     lay = Layout(np.zeros((1, 2)), 0.0)
     with pytest.raises(ValueError):
-        prune_pairs(lay, Assignment((0,), ()), -0.1, 0.3, EMPTY)
+        prune_pairs(lay, mask(1), -0.1, 0.3, EMPTY)
+
+
+def test_prune_and_build_reject_nan_box_sizes():
+    # NaN passes a test of delta < 0 or r_cap < 0; it would give NaN bounds.
+    inst = Instance("d", [disk(0.0, 0.0, 0.1)])
+    lay = Layout(np.array([[0.5, 0.0], [-0.5, 0.0]]), 0.0)
+    pairs = all_pairs(2, 1)
+    with pytest.raises(ValueError, match="delta must be nonnegative"):
+        prune_pairs(lay, mask(2), math.nan, 0.3, inst)
+    with pytest.raises(ValueError, match="r_cap must be nonnegative"):
+        prune_pairs(lay, mask(2), 0.1, math.nan, inst)
+    with pytest.raises(ValueError, match="delta must be nonnegative"):
+        build_nlp(inst, mask(2), lay, math.nan, pairs, 0.3)
+    with pytest.raises(ValueError, match="r_cap must be nonnegative"):
+        build_nlp(inst, mask(2), lay, 0.1, pairs, math.nan)
 
 
 # --- program assembly ------------------------------------------------------
@@ -230,8 +241,7 @@ def test_prune_rejects_negative_delta():
 def test_build_counts_and_bounds():
     inst = Instance("d", [disk(0.0, 0.0, 0.2)])
     centers = np.array([[0.5, 0.0], [0.95, 0.0]])
-    a = Assignment((0, 1), ())
-    p = build_simple(a, centers, inst, delta=0.2, r_cap=0.4)
+    p = build_simple(mask(2), centers, inst, delta=0.2, r_cap=0.4)
     assert p.nv == 5
     assert p.m == 2 + 1 + 2
     assert p.lower[0] == 0.0 and p.upper[0] == 0.4
@@ -242,7 +252,7 @@ def test_build_counts_and_bounds():
 
 
 def test_polar_bounds_cover_full_disk():
-    p = build_simple(Assignment((), (0,)), [(0.3, 0.3)], delta=0.01)
+    p = build_simple(mask(1, 0), [(0.3, 0.3)], delta=0.01)
     r_slot, t_slot = p.var_a[0], p.var_b[0]
     assert (p.lower[r_slot], p.upper[r_slot]) == (0.0, 1.0)
     assert p.lower[t_slot] == 0.0
@@ -251,21 +261,26 @@ def test_polar_bounds_cover_full_disk():
 
 def test_build_rejects_bad_pairs():
     centers = np.array([[0.0, 0.0], [0.5, 0.0]])
-    a = Assignment((0, 1), ())
+    a = mask(2)
     lay = Layout(centers, 0.0)
     with pytest.raises(ValueError):
-        build_nlp(EMPTY, a, lay, 0.1, PairSets([(0, 5)], []), 0.5)
+        build_nlp(EMPTY, a, lay, 0.1, ([(0, 5)], []), 0.5)
     with pytest.raises(ValueError):
-        build_nlp(EMPTY, a, lay, 0.1, PairSets([], [(0, 0)]), 0.5)
+        build_nlp(EMPTY, a, lay, 0.1, ([], [(0, 0)]), 0.5)
     inst = Instance("d", [disk(0.0, 0.0, 0.1)])
     with pytest.raises(ValueError):
-        build_nlp(inst, a, lay, 0.1, PairSets([], [(0, 3)]), 0.5)
+        build_nlp(inst, a, lay, 0.1, ([], [(0, 3)]), 0.5)
+    # The error names the first offending pair.
+    with pytest.raises(ValueError, match=r"pair \(1, 1\) references circles outside"):
+        build_nlp(EMPTY, a, lay, 0.1, ([(0, 1), (1, 1), (-1, 0)], []), 0.5)
+    with pytest.raises(ValueError, match=r"pair \(-1, 0\) references an unknown circle"):
+        build_nlp(inst, a, lay, 0.1, ([(0, 1)], [(1, 0), (-1, 0), (2, 0)]), 0.5)
 
 
 def test_pack_extract_round_trip():
     rng = np.random.default_rng(3)
     centers = rng.uniform(-0.6, 0.6, size=(5, 2))
-    a = Assignment((0, 3), (1, 2, 4))
+    a = mask(5, 1, 2, 4)
     p = build_simple(a, centers)
     z = p.pack_start(centers, 0.1)
     back = p.extract_centers(z)
@@ -276,7 +291,7 @@ def test_pack_extract_round_trip_at_polar_seams():
     # theta just above 0, theta just below 2*pi (which rounds to 2*pi),
     # and r = 0 must pack into the polar box and map back to the same centres.
     centers = np.array([[0.5, 1e-17], [0.5, -1e-17], [0.0, 0.0]])
-    p = build_simple(Assignment((), (0, 1, 2)), centers)
+    p = build_simple(mask(3, 0, 1, 2), centers)
     z = p.pack_start(centers, 0.1)
     assert np.all(z >= p.lower) and np.all(z <= p.upper)
     assert z[p.var_b[1]] == 2.0 * math.pi
@@ -286,7 +301,7 @@ def test_pack_extract_round_trip_at_polar_seams():
 
 def test_linear_violations_match_geometry():
     centers = np.array([[0.25, 0.0], [-0.25, 0.0]])
-    p = build_simple(Assignment((0, 1), ()), centers)
+    p = build_simple(mask(2), centers)
     z = p.pack_start(centers, 0.3)
     lv = p.linear_violations(z)
     pair_row = row_of(p, FAMILY_PAIR, (0, 1))
@@ -300,12 +315,10 @@ def test_constraint_gradients_match_finite_differences():
     rng = np.random.default_rng(17)
     inst = Instance("d", [disk(0.25, -0.1, 0.12)])
     centers = rng.uniform(-0.5, 0.5, size=(4, 2))
-    a = Assignment((0, 2), (1, 3))
-    p = build_simple(a, centers, inst, delta=0.5, r_cap=0.6)
+    p = build_simple(mask(4, 1, 3), centers, inst, delta=0.5, r_cap=0.6)
     z = p.pack_start(centers, 0.21)
-    obj, cons, grad_obj, jac = evaluate(p, z)
-    assert obj == z[0]
-    assert grad_obj[0] == 1.0 and not grad_obj[1:].any()
+    jac = p.jacobian(z)
+    assert p.constraint_values(z).shape == (p.m,)
     assert jac.shape == (p.m, p.nv)
 
     h = 1e-6
@@ -319,7 +332,7 @@ def test_constraint_gradients_match_finite_differences():
 
 
 def test_constraint_values_reject_non_finite():
-    p = build_simple(Assignment((0,), (1,)), [(0.5, 0.0), (-0.5, 0.0)])
+    p = build_simple(mask(2, 1), [(0.5, 0.0), (-0.5, 0.0)])
     z = p.pack_start(np.array([[0.5, 0.0], [-0.5, 0.0]]), 0.1)
     z[1] = math.nan
     with pytest.raises(EvaluationError, match="family"):
@@ -332,7 +345,7 @@ def test_outer_update_matches_the_separate_calls():
     rng = np.random.default_rng(23)
     inst = Instance("d", [disk(0.1, -0.2, 0.15), disk(-0.3, 0.35, 0.1)])
     centers = rng.uniform(-0.5, 0.5, size=(5, 2))
-    p = build_simple(Assignment((0, 3), (1, 2, 4)), centers, inst)
+    p = build_simple(mask(5, 1, 2, 4), centers, inst)
     z = p.pack_start(centers, 0.15)
     multipliers = np.abs(rng.standard_normal(p.m))
     values, violations, candidate, gradient = p.outer_update(z, multipliers, 10.0)
@@ -353,29 +366,59 @@ def test_row_ids_and_multiplier_factors():
     # choice, the row order or the orientation of a pair.
     inst = Instance("d", [disk(0.1, -0.2, 0.15), disk(-0.3, 0.35, 0.1)])
     centers = np.array([[0.3, 0.1], [-0.2, 0.4], [0.0, -0.5]])
-    pairs = PairSets([(0, 2), (2, 1)], [(1, 0), (2, 1)])
+    pairs = ([(0, 2), (2, 1)], [(1, 0), (2, 1)])
     n, k = 3, 2
     want = {
         (FAMILY_CONTAINMENT, (0,)): 0,
         (FAMILY_CONTAINMENT, (1,)): 1,
         (FAMILY_CONTAINMENT, (2,)): 2,
         (FAMILY_PAIR, (0, 2)): n + 0 * n + 2,
-        (FAMILY_PAIR, (2, 1)): n + 1 * n + 2,
+        (FAMILY_PAIR, (1, 2)): n + 1 * n + 2,
         (FAMILY_PROHIBITED, (1, 0)): n + n * n + 1 * k + 0,
         (FAMILY_PROHIBITED, (2, 1)): n + n * n + 2 * k + 1,
     }
     assert row_id_count(n, k) == n + n * n + n * k
-    for assignment in (Assignment((0, 1, 2), ()), Assignment((1,), (0, 2))):
-        p = build_simple(assignment, centers, inst, pairs=pairs)
-        assert dict(zip(p.tags, p.row_ids.tolist())) == want
-        factors = dict(zip(p.tags, p.multiplier_factors(0.25)))
+    for polar in (mask(3), mask(3, 0, 2)):
+        p = build_simple(polar, centers, inst, pairs=pairs)
+        tags = [p.row_tag(row) for row in range(p.m)]
+        assert dict(zip(tags, p.row_ids.tolist())) == want
+        factors = dict(zip(tags, p.multiplier_factors(0.25)))
         for i in range(n):
-            polar = i in assignment.polar
-            assert factors[(FAMILY_CONTAINMENT, (i,))] == (1.0 if polar else 2.0 * 0.75)
+            assert factors[(FAMILY_CONTAINMENT, (i,))] == (1.0 if polar[i] else 2.0 * 0.75)
         assert factors[(FAMILY_PAIR, (0, 2))] == 2.0 * 0.5
         assert factors[(FAMILY_PROHIBITED, (2, 1))] == 2.0 * (0.1 + 0.25)
         # At R = 0 a pair row has no distance-unit multiplier to carry.
         assert factors[(FAMILY_PAIR, (0, 2))] > 0.0 == p.multiplier_factors(0.0)[3]
+
+
+def test_row_tag_decodes_every_row():
+    # Family and circles of every row, from its id alone, under every
+    # coordinate choice; n = 1 and k = 0 leave the pair or the clearance
+    # arrays empty, of shape (0, 2).
+    rng = np.random.default_rng(29)
+    disks = [disk(0.1, -0.2, 0.15), disk(-0.3, 0.35, 0.1)]
+    for n, k in ((4, 2), (1, 2), (4, 0), (1, 0)):
+        inst = Instance("d", disks[:k])
+        lay = Layout(rng.uniform(-0.5, 0.5, size=(n, 2)), 0.0)
+        # Nothing is pruned while every circle is polar.
+        circle_pairs, clearances = prune_pairs(lay, mask(n, *range(n)), 0.1, 0.2, inst)
+        assert circle_pairs.shape == (n * (n - 1) // 2, 2)
+        assert clearances.shape == (n * k, 2)
+        for polar in (mask(n), mask(n, *range(n)), mask(n, *range(0, n, 2))):
+            p = build_nlp(inst, polar, lay, 0.1, (circle_pairs, clearances), 0.2)
+            order = np.concatenate((np.flatnonzero(~polar), np.flatnonzero(polar)))
+            want = [(FAMILY_CONTAINMENT, (i,)) for i in order.tolist()]
+            want += [(FAMILY_PAIR, (i, j)) for i, j in circle_pairs.tolist()]
+            want += [(FAMILY_PROHIBITED, (i, f)) for i, f in clearances.tolist()]
+            assert [p.row_tag(row) for row in range(p.m)] == want
+
+    # An error names its row by the same decoding: a pair low index first.
+    centers = [(0.5, 0.0), (-0.5, 0.0), (0.0, 0.5)]
+    p = build_simple(mask(3, 2), centers, pairs=([(2, 0)], []))
+    z = p.pack_start(np.array(centers), 0.1)
+    z[p.var_b[2]] = math.nan
+    with pytest.raises(EvaluationError, match=r"pair family constraint for indices \(0, 2\)"):
+        p.constraint_values(z)
 
 
 def test_multiplier_factors_are_the_row_slopes_in_distance_units():
@@ -384,14 +427,14 @@ def test_multiplier_factors_are_the_row_slopes_in_distance_units():
     inst = Instance("d", [disk(0.0, 0.0, 0.2)])
     r = 0.2
     centers = np.array([[0.4, 0.0], [0.4, 2 * r], [-0.8 + 1e-9, 0.0]])
-    p = build_simple(Assignment((0, 2), (1,)), centers, inst, r_cap=0.5)
+    p = build_simple(mask(3, 1), centers, inst, r_cap=0.5)
     z = p.pack_start(centers, r)
     slack = -p.linear_violations(z)
     jac = p.jacobian(z)
     factors = p.multiplier_factors(r)
     eps = 1e-7
     active = np.flatnonzero(np.abs(slack) < 1e-6)
-    assert sorted(p.tags[row][0] for row in active) == [
+    assert sorted(p.row_tag(row)[0] for row in active) == [
         FAMILY_CONTAINMENT, FAMILY_PAIR, FAMILY_PROHIBITED
     ]
     for row in active:
@@ -399,7 +442,7 @@ def test_multiplier_factors_are_the_row_slopes_in_distance_units():
         zp = z.copy()
         zp[col] += eps
         ratio = jac[row, col] / ((-p.linear_violations(zp)[row] - slack[row]) / eps)
-        assert ratio == pytest.approx(factors[row], rel=1e-5), p.tags[row]
+        assert ratio == pytest.approx(factors[row], rel=1e-5), p.row_tag(row)
 
 
 def test_merit_gradient_matches_jacobian():
@@ -408,7 +451,7 @@ def test_merit_gradient_matches_jacobian():
     rng = np.random.default_rng(5)
     inst = Instance("d", [disk(0.1, -0.2, 0.15)])
     centers = rng.uniform(-0.5, 0.5, size=(4, 2))
-    p = build_simple(Assignment((0, 3), (1, 2)), centers, inst)
+    p = build_simple(mask(4, 1, 2), centers, inst)
     z = p.pack_start(centers, 0.15)
     jac = p.jacobian(z)
     multipliers = np.abs(rng.standard_normal(p.m))
@@ -427,8 +470,8 @@ def test_merit_gradient_matches_jacobian():
 def test_program_without_pairs_or_disks():
     # Both pair families empty: only containment rows, one of them polar.
     centers = np.array([[0.2, -0.1], [-0.3, 0.4]])
-    p = build_simple(Assignment((0,), (1,)), centers, pairs=PairSets([], []))
-    assert [family for family, _ in p.tags] == [FAMILY_CONTAINMENT] * 2
+    p = build_simple(mask(2, 1), centers, pairs=([], []))
+    assert [p.row_tag(row)[0] for row in range(p.m)] == [FAMILY_CONTAINMENT] * 2
     z = p.pack_start(centers, 0.25)
     g = p.constraint_values(z)
     assert g[row_of(p, FAMILY_CONTAINMENT, (1,))] == pytest.approx(0.25, abs=1e-15)
@@ -444,7 +487,7 @@ def test_program_without_pairs_or_disks():
     assert np.allclose(p.extract_centers(z), centers, rtol=0.0, atol=1e-15)
 
 
-@pytest.mark.parametrize("assignment", [((0, 1, 2), ()), ((), (0, 1, 2)), ((0, 2), (1,))])
+@pytest.mark.parametrize("assignment", [(False,) * 3, (True,) * 3, (False, True, False)])
 @pytest.mark.parametrize("with_pairs", [False, True])
 @pytest.mark.parametrize("with_disks", [False, True])
 def test_non_finite_variable_reaches_merit(assignment, with_pairs, with_disks):
@@ -455,8 +498,8 @@ def test_non_finite_variable_reaches_merit(assignment, with_pairs, with_disks):
     inst = Instance("d", [disk(0.2, 0.3, 0.1)]) if with_disks else EMPTY
     pairs = all_pairs(3, inst.f_count)
     if not with_pairs:
-        pairs = PairSets([], pairs.prohibited_pairs)
-    p = build_simple(Assignment(*assignment), centers, inst, pairs=pairs)
+        pairs = ([], pairs[1])
+    p = build_simple(np.array(assignment), centers, inst, pairs=pairs)
     start = p.pack_start(centers, 0.17)
     settings = [(np.zeros(p.m), 10.0), (np.linspace(0.5, 2.0, p.m), 1e6)]
     for j in range(p.nv):

@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from fsspack.formulation import Assignment, PairSets, build_nlp
+from fsspack.formulation import build_nlp
 from fsspack.geometry import (
     EXTENDED_DPS,
     CartesianPoint,
@@ -54,9 +54,7 @@ def test_cart_polar_quadrants():
     # The polar convention of the packing program: theta in [0, 2*pi],
     # measured from the +x axis, and r = 0 at the origin.
     centers = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 0.0]])
-    p = build_nlp(
-        EMPTY, Assignment((), (0, 1, 2, 3)), Layout(centers, 0.0), 2.0, PairSets([], []), 1.0
-    )
+    p = build_nlp(EMPTY, np.ones(4, dtype=bool), Layout(centers, 0.0), 2.0, ([], []), 1.0)
     z = p.pack_start(centers, 0.1)
     assert z[p.var_b[0]] == pytest.approx(math.pi)
     assert z[p.var_b[1]] == pytest.approx(1.5 * math.pi)

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import OptimizeResult
 
 from fsspack import solver
-from fsspack.formulation import Assignment, PairSets, build_nlp, row_id_count
+from fsspack.formulation import EvaluationError, build_nlp, row_id_count
 from fsspack.geometry import (
     CartesianPoint,
     Instance,
@@ -46,16 +46,24 @@ def annulus_oracle(hole: float) -> float:
     return margin((lo + hi) / 2)
 
 
-def build_for(centers, assignment, instance=EMPTY, delta=2.0, r_cap=None, pairs=None):
+def mask(n, *polar):
+    # Polar mask of n circles, True at the given indices.
+    out = np.zeros(n, dtype=bool)
+    out[list(polar)] = True
+    return out
+
+
+def build_for(centers, polar, instance=EMPTY, delta=2.0, r_cap=None, pairs=None):
     centers = np.asarray(centers, dtype=float)
     n, _ = centers.shape
     if r_cap is None:
         r_cap = radius_upper_bound(instance, n)
     if pairs is None:
-        circle = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        prohibited = [(i, f) for i in range(n) for f in range(instance.f_count)]
-        pairs = PairSets(circle, prohibited)
-    return build_nlp(instance, assignment, Layout(centers, 0.0), delta, pairs, r_cap)
+        pairs = (
+            np.column_stack(np.triu_indices(n, k=1)),
+            np.indices((n, instance.f_count)).reshape(2, -1).T,
+        )
+    return build_nlp(instance, polar, Layout(centers, 0.0), delta, pairs, r_cap)
 
 
 @pytest.fixture
@@ -85,7 +93,7 @@ def monotone_merit(monkeypatch):
 
 
 def test_single_circle_fills_container(monotone_merit):
-    p = build_for([(0.3, 0.2)], Assignment((0,), ()))
+    p = build_for([(0.3, 0.2)], mask(1))
     res = solve(p, p.pack_start(np.array([[0.3, 0.2]]), 0.1))
     assert res.status == CONVERGED
     assert res.objective == pytest.approx(1.0, abs=1e-6)
@@ -94,7 +102,7 @@ def test_single_circle_fills_container(monotone_merit):
 
 def test_two_circles_split_the_diameter(monotone_merit):
     centers = np.array([[0.4, 0.1], [-0.3, -0.2]])
-    p = build_for(centers, Assignment((0,), (1,)))
+    p = build_for(centers, mask(2, 1))
     res = solve(p, p.pack_start(centers, 0.1))
     assert res.status in (CONVERGED, ITERATION_LIMIT)
     corrected = correct_radius(p.extract_centers(res.point), EMPTY)
@@ -107,7 +115,7 @@ def test_annular_single_circle_matches_scan_oracle(monotone_merit):
     want = annulus_oracle(hole)
     assert want == pytest.approx((1.0 - hole) / 2.0, abs=1e-9)
     centers = np.array([[0.55, 0.1]])
-    p = build_for(centers, Assignment((0,), ()), inst)
+    p = build_for(centers, mask(1), inst)
     res = solve(p, p.pack_start(centers, 0.05))
     corrected = correct_radius(p.extract_centers(res.point), inst)
     assert corrected == pytest.approx(want, abs=1e-7)
@@ -117,7 +125,7 @@ def test_polar_formulation_reaches_the_same_optimum(monotone_merit):
     hole = 0.2
     inst = Instance("hole", [ProhibitedCircle(CartesianPoint(0.0, 0.0), hole)])
     centers = np.array([[0.55, 0.1]])
-    p = build_for(centers, Assignment((), (0,)), inst)
+    p = build_for(centers, mask(1, 0), inst)
     res = solve(p, p.pack_start(centers, 0.05))
     corrected = correct_radius(p.extract_centers(res.point), inst)
     assert corrected == pytest.approx((1.0 - hole) / 2.0, abs=1e-7)
@@ -127,7 +135,7 @@ def test_solver_is_deterministic():
     rng = np.random.default_rng(13)
     centers = rng.uniform(-0.5, 0.5, size=(6, 2))
     inst = Instance("d", [ProhibitedCircle(CartesianPoint(0.1, -0.2), 0.15)])
-    p = build_for(centers, Assignment((0, 2, 4), (1, 3, 5)), inst, delta=0.3)
+    p = build_for(centers, mask(6, 1, 3, 5), inst, delta=0.3)
     start = p.pack_start(centers, 0.1)
     first = solve(p, start)
     second = solve(p, start)
@@ -139,7 +147,7 @@ def test_solver_is_deterministic():
 def test_converged_objective_agrees_with_correction():
     # On a clean convergence the NLP radius and the exact corrected
     # radius of the final centres must agree to within the tolerance.
-    p = build_for([(0.3, 0.2)], Assignment((0,), ()))
+    p = build_for([(0.3, 0.2)], mask(1))
     res = solve(p, p.pack_start(np.array([[0.3, 0.2]]), 0.1))
     assert res.status == CONVERGED
     corrected = correct_radius(p.extract_centers(res.point), EMPTY)
@@ -150,7 +158,7 @@ def test_infeasible_start_recovers():
     # Nearly coincident centres at a fat radius guess massively violate
     # separation; the solver must still reach the two-circle optimum.
     centers = np.array([[0.2, 0.2], [0.21, 0.2]])
-    p = build_for(centers, Assignment((0, 1), ()))
+    p = build_for(centers, mask(2))
     res = solve(p, p.pack_start(centers, 0.4))
     assert res.status in (CONVERGED, ITERATION_LIMIT)
     assert res.max_constraint_violation <= 1e-8
@@ -163,7 +171,7 @@ def test_coincident_start_degrades_gracefully():
     # constraint has zero gradient there, so the solver cannot split
     # them.  It must report honestly rather than crash.
     centers = np.array([[0.2, 0.2], [0.2, 0.2]])
-    p = build_for(centers, Assignment((0, 1), ()))
+    p = build_for(centers, mask(2))
     res = solve(p, p.pack_start(centers, 0.4))
     assert res.status in (CONVERGED, ITERATION_LIMIT, NUMERICAL_FAILURE)
     assert np.all(np.isfinite(res.point))
@@ -173,7 +181,7 @@ def test_gradient_check_interior_and_bounds():
     rng = np.random.default_rng(29)
     inst = Instance("d", [ProhibitedCircle(CartesianPoint(0.25, -0.1), 0.12)])
     centers = rng.uniform(-0.5, 0.5, size=(4, 2))
-    p = build_for(centers, Assignment((0, 2), (1, 3)), inst, delta=0.5)
+    p = build_for(centers, mask(4, 1, 3), inst, delta=0.5)
     interior = p.pack_start(centers, 0.2)
     assert gradient_check(p, interior) < 1e-8
     # Clamp a point onto the bounds; one-sided differences are coarser.
@@ -181,11 +189,22 @@ def test_gradient_check_interior_and_bounds():
     assert gradient_check(p, at_bounds) < 1e-5
 
 
+def test_gradient_check_rejects_bad_point_shape():
+    p = build_for([(0.3, 0.2)], mask(1))
+    for bad in (np.zeros(4), np.zeros((1, 3)), 0.2):
+        with pytest.raises(ValueError, match=r"point must have shape \(3,\)"):
+            gradient_check(p, bad)
+    z = p.pack_start(np.array([[0.3, 0.2]]), 0.1)
+    z[1] = np.nan
+    with pytest.raises(EvaluationError, match="non-finite value"):
+        gradient_check(p, z)
+
+
 def test_stall_exit_spares_the_outer_budget():
     # Warm restarts at a degenerate optimum stop early instead of
     # burning all outer rounds on an unreachable stationarity target.
     centers = np.array([[0.5, 0.0], [-0.5, 0.0]])
-    p = build_for(centers, Assignment((0, 1), ()))
+    p = build_for(centers, mask(2))
     res = solve(p, p.pack_start(centers, 0.5))
     assert res.outer_iterations < 50
     assert res.max_constraint_violation <= 1e-8
@@ -194,7 +213,7 @@ def test_stall_exit_spares_the_outer_budget():
 
 
 def test_numerical_failure_is_reported_not_raised():
-    p = build_for([(0.3, 0.2)], Assignment((0,), ()))
+    p = build_for([(0.3, 0.2)], mask(1))
 
     real = p.augmented_lagrangian
 
@@ -209,7 +228,7 @@ def test_numerical_failure_is_reported_not_raised():
 
 
 def test_solve_rejects_bad_start_shape():
-    p = build_for([(0.3, 0.2)], Assignment((0,), ()))
+    p = build_for([(0.3, 0.2)], mask(1))
     with pytest.raises(ValueError):
         solve(p, np.zeros(7))
     # np.clip would broadcast these to the right shape.
@@ -227,7 +246,7 @@ def test_gradient_memo_never_serves_a_stale_gradient(monkeypatch):
     # returns.  The start overlaps two circles, so the penalty grows
     # between rounds and a gradient kept from the last round would be stale.
     centers = np.array([[0.2, 0.2], [0.21, 0.2]])
-    p = build_for(centers, Assignment((0,), (1,)))
+    p = build_for(centers, mask(2, 1))
     real = p.augmented_lagrangian
     evaluations = []
 
@@ -259,7 +278,7 @@ def test_gradient_memo_never_serves_a_stale_gradient(monkeypatch):
 
 
 def test_non_finite_gradient_on_the_jac_path_is_reported(monkeypatch):
-    p = build_for([(0.3, 0.2)], Assignment((0,), ()))
+    p = build_for([(0.3, 0.2)], mask(1))
     real = p.augmented_lagrangian
 
     def poisoned(z, multipliers, penalty):
@@ -280,7 +299,7 @@ def test_non_finite_gradient_on_the_jac_path_is_reported(monkeypatch):
 
 def test_zero_multipliers_are_the_default():
     centers = np.array([[0.2, 0.2], [0.21, 0.2]])
-    p = build_for(centers, Assignment((0,), (1,)))
+    p = build_for(centers, mask(2, 1))
     start = p.pack_start(centers, 0.4)
     cold = solve(p, start)
     zeros = solve(p, start, np.zeros(p.m))
@@ -291,7 +310,7 @@ def test_zero_multipliers_are_the_default():
 
 
 def test_solve_rejects_bad_multipliers():
-    p = build_for([(0.3, 0.2)], Assignment((0,), ()))
+    p = build_for([(0.3, 0.2)], mask(1))
     start = p.pack_start(np.array([[0.3, 0.2]]), 0.1)
     for bad in (np.zeros(p.m + 1), np.zeros(()), -np.ones(p.m), np.full(p.m, np.nan)):
         with pytest.raises(ValueError, match="multipliers"):
@@ -314,12 +333,12 @@ def test_warm_start_survives_a_coordinate_flip():
     rng = np.random.default_rng(1)
     angle, dist = rng.uniform(0.0, 2.0 * np.pi, n), rng.uniform(0.3, 0.9, n)
     centers = np.column_stack((dist * np.cos(angle), dist * np.sin(angle)))
-    first = build_for(centers, Assignment((0, 2), (1, 3)), inst)
+    first = build_for(centers, mask(4, 1, 3), inst)
     exit_ = solve(first, first.pack_start(centers, 0.05))
     exit_centers = first.extract_centers(exit_.point)
     radius = correct_radius(exit_centers, inst)
 
-    flipped = build_for(exit_centers, Assignment((1, 3), (0, 2)), inst)
+    flipped = build_for(exit_centers, mask(4, 0, 2), inst)
     start = flipped.pack_start(exit_centers, radius)
     carried = np.zeros(row_id_count(n, inst.f_count))
     carried[first.row_ids] = first.distance_multipliers(exit_.multipliers, exit_.point[0])
