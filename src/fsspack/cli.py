@@ -52,6 +52,20 @@ def _parse_n_list(text: str) -> list[int]:
     return out
 
 
+def _read(load, path: str, kind: str):
+    """load(path), with every unreadable or malformed file a usage error."""
+    try:
+        return load(path)
+    except FileNotFoundError:
+        raise _CliError(f"no such {kind} file: {path}", USAGE_ERROR) from None
+    except OSError as exc:
+        raise _CliError(
+            f"cannot read {kind} file {path}: {exc.strerror or exc}", USAGE_ERROR
+        ) from None
+    except (LayoutFormatError, InstanceFormatError) as exc:
+        raise _CliError(str(exc), USAGE_ERROR) from None
+
+
 def _resolve_problem(token: str, f_count: int | None) -> tuple[Instance, str, int | None]:
     """Returns (instance, problem label, f_count for reporting)."""
     if token.isdigit():
@@ -64,29 +78,14 @@ def _resolve_problem(token: str, f_count: int | None) -> tuple[Instance, str, in
         return instance, str(pid), reported
     if f_count is not None:
         raise _CliError("--fcount only applies to problem 1", USAGE_ERROR)
-    try:
-        instance = load_instance(token)
-    except FileNotFoundError:
-        raise _CliError(f"no such instance file: {token}", USAGE_ERROR) from None
-    except InstanceFormatError as exc:
-        raise _CliError(str(exc), USAGE_ERROR) from None
+    instance = _read(load_instance, token, "instance")
     return instance, instance.name, None
 
 
 def _load_layout_and_instance(layout_path: str, instance_path: str | None):
-    try:
-        layout, name = load_layout(layout_path)
-    except FileNotFoundError:
-        raise _CliError(f"no such layout file: {layout_path}", USAGE_ERROR) from None
-    except LayoutFormatError as exc:
-        raise _CliError(str(exc), USAGE_ERROR) from None
+    layout, name = _read(load_layout, layout_path, "layout")
     if instance_path is not None:
-        try:
-            instance = load_instance(instance_path)
-        except FileNotFoundError:
-            raise _CliError(f"no such instance file: {instance_path}", USAGE_ERROR) from None
-        except InstanceFormatError as exc:
-            raise _CliError(str(exc), USAGE_ERROR) from None
+        instance = _read(load_instance, instance_path, "instance")
     else:
         try:
             instance = instance_from_name(name)

@@ -34,7 +34,9 @@ While replications run, every OpenBLAS library in the process is held at
 one thread.  An idle OpenBLAS worker spins: left at its default, on a
 2-core machine, it doubled the CPU cost of searches at n = 10 and n = 40
 without shortening them, and it makes a process pool oversubscribe the
-cores.  Parallelism comes from `workers`.
+cores.  Parallelism comes from `workers`.  numpy and scipy each bring an
+OpenBLAS, and the solver imports scipy only when first needed, so the
+hold loads the optimiser before it looks for the libraries to hold.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ import numpy as np
 
 from .formulation import build_nlp, prune_pairs, row_id_count
 from .geometry import Instance, Layout, TWO_PI, correct_radius, radius_upper_bound, verify_layout
-from .solver import NUMERICAL_FAILURE, solve
+from .solver import NUMERICAL_FAILURE, load_optimizer, solve
 
 _MASK64 = (1 << 64) - 1
 
@@ -210,12 +212,15 @@ _OPENBLAS_THREAD_API = (
 
 @functools.cache
 def _openblas_controls() -> tuple[tuple[object, object], ...]:
-    """(get, set) thread-count functions of every OpenBLAS already loaded.
+    """(get, set) thread-count functions of every OpenBLAS loaded.
 
     Looked up once, on first use, from the process's memory map, so it
-    is empty off Linux or under another BLAS.  numpy and scipy are
-    imported with this module, so their libraries are loaded by then.
+    is empty off Linux or under another BLAS.  numpy is imported with
+    this module, but scipy only on the first solve, and the scan is never
+    repeated: so it loads the optimiser first, or scipy's OpenBLAS would
+    be mapped after the scan and left spinning.
     """
+    load_optimizer()
     try:
         with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
             fields = [line.split(maxsplit=5) for line in maps]

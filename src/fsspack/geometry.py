@@ -431,6 +431,8 @@ def save_layout(layout: Layout, instance_name: str, path: Union[str, Path]) -> N
 def load_layout(path: Union[str, Path]) -> tuple[Layout, str]:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise LayoutFormatError(f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise LayoutFormatError(f"invalid JSON in {path}: {exc}") from None
     return layout_from_dict(doc)

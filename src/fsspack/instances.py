@@ -147,6 +147,8 @@ def load_instance(path: Union[str, Path]) -> Instance:
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError(f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"invalid JSON in {path}: {exc}") from None
     if not isinstance(doc, dict):

@@ -91,6 +91,7 @@ def test_run_usage_errors(tmp_path, capsys):
     assert run_cli("run", "--problem", "2", "--n", "0", "--out", out, *BUDGET) == 2
     assert run_cli("run", "--problem", "2", "--n", "2,x", "--out", out, *BUDGET) == 2
     assert run_cli("run", "--problem", str(tmp_path / "nope.json"), "--n", "2", "--out", out, *BUDGET) == 2
+    assert run_cli("run", "--problem", str(tmp_path), "--n", "2", "--out", out, *BUDGET) == 2
     capsys.readouterr()
     # Budget and worker counts below 1 are usage errors, reported on one line.
     for flag, value in (
@@ -147,6 +148,48 @@ def test_verify_usage_errors(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{\"instance\": \"problem2\"}")
     assert run_cli("verify", str(bad)) == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "render"])
+def test_unreadable_files_are_usage_errors(tmp_path, capsys, command):
+    # Exit 1 means infeasible, so a file that cannot be read must not give it.
+    layout_path = layout_fixture(tmp_path)
+    extra = ["--svg", str(tmp_path / "out.svg")] if command == "render" else []
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"instance": "probl\xe8me2"}')
+    capsys.readouterr()
+    for argv, message in (
+        ([str(latin1)], f"{latin1} is not UTF-8 text"),
+        ([str(tmp_path)], f"cannot read layout file {tmp_path}"),
+        ([str(layout_path), "--instance", str(latin1)], f"{latin1} is not UTF-8 text"),
+        ([str(layout_path), "--instance", str(tmp_path)], f"cannot read instance file {tmp_path}"),
+    ):
+        assert run_cli(command, *argv, *extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+
+COLD_START = """
+import sys
+from fsspack.cli import main
+
+layout, out = sys.argv[1:]
+assert main(["verify", layout, "--report", out + "/report.json"]) == 0
+assert main(["render", layout, "--svg", out + "/layout.svg"]) == 0
+print("optimiser loaded:", "scipy.optimize" in sys.modules)
+argv = ["run", "--problem", "2", "--n", "2", "--iterations", "1", "--replications", "1"]
+assert main(argv + ["--out", out]) == 0
+print("optimiser loaded:", "scipy.optimize" in sys.modules)
+"""
+
+
+def test_verify_and_render_never_load_the_optimiser(tmp_path, fresh_python):
+    layout_path = layout_fixture(tmp_path)
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    out = fresh_python(COLD_START, str(layout_path), str(fresh))
+    loaded = [line for line in out.splitlines() if line.startswith("optimiser loaded:")]
+    assert loaded == ["optimiser loaded: False", "optimiser loaded: True"]
 
 
 def test_verify_custom_instance_resolution(tmp_path):

@@ -1,10 +1,12 @@
 """Search driver: randomness contracts, replications, and run reports."""
 
 import dataclasses
+import json
 import math
 import multiprocessing
 import os
 import re
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -314,6 +316,49 @@ def test_run_restores_blas_threads_after_a_raise(two_blas_threads, monkeypatch):
     with pytest.raises(RuntimeError, match="solver blew up"):
         run(builtin_instance(2), cfg)
     assert blas_threads() == two_blas_threads
+
+
+BLAS_PROBE = """
+import json, sys
+from fsspack import engine
+from fsspack.instances import builtin_instance
+
+def mapped():
+    with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
+        fields = [line.split(maxsplit=5) for line in maps]
+    return len({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5].lower()})
+
+seen = []
+real_solve = engine.solve
+
+def recording_solve(*args, **kwargs):
+    seen.append([mapped(), [get() for get, _ in engine._openblas_controls()]])
+    return real_solve(*args, **kwargs)
+
+engine.solve = recording_solve
+inst = builtin_instance(2)
+cfg = engine.FssConfig(n=2, iterations=2, replications=2, seed=3)
+if sys.argv[1] == "run":
+    engine.run(inst, cfg, workers=1)
+else:
+    engine._replication_job(inst, cfg, 1)
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+@pytest.mark.parametrize("entry, solves", [("run", 4), ("job", 2)])
+def test_blas_hold_covers_the_libraries_scipy_loads(fresh_python, entry, solves):
+    # scipy, and its OpenBLAS, load on the first solve; in this process
+    # they are loaded already, so the check runs in a fresh one.  In every
+    # solve each mapped OpenBLAS must be held at one thread.
+    seen = json.loads(fresh_python(BLAS_PROBE, entry))
+    assert len(seen) == solves
+    if not any(mapped for mapped, _ in seen):
+        pytest.skip("no OpenBLAS mapped")
+    for mapped, counts in seen:
+        assert len(counts) == mapped
+        assert counts == [1] * mapped
 
 
 def fail_on_replication_1(monkeypatch, failure):

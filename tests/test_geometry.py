@@ -7,6 +7,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsspack.formulation import build_nlp
 from fsspack.geometry import (
@@ -254,6 +256,80 @@ def test_correct_radius_far_prohibited_disk():
     assert not verify_layout(Layout(pts, math.nextafter(r, math.inf)), FAR_DISK, 0.0).feasible
 
 
+ANGLES = st.floats(0.0, 2.0 * math.pi)
+UNIT = st.floats(0.0, 1.0)
+
+
+def polar_point(distance: float, angle: float) -> CartesianPoint:
+    return CartesianPoint(distance * math.cos(angle), distance * math.sin(angle))
+
+
+@st.composite
+def disk_groups(draw):
+    """One or two prohibited disks of a drawn kind."""
+    kind = draw(st.sampled_from(["free", "wall", "covering", "vacuous", "tangent", "overlapping"]))
+    radius = draw(st.floats(1e-6, 0.6))
+    angle = draw(ANGLES)
+    if kind == "free":
+        coords = st.floats(-1.2, 1.2)
+        return [ProhibitedCircle(CartesianPoint(draw(coords), draw(coords)), radius)]
+    if kind == "wall":  # touches the container from inside
+        return [ProhibitedCircle(polar_point(1.0 - radius, angle), radius)]
+    if kind == "covering":  # contains the container's centre
+        return [ProhibitedCircle(polar_point(draw(UNIT) * radius, angle), radius)]
+    if kind == "vacuous":
+        return [ProhibitedCircle(polar_point(1.0 + radius + draw(UNIT), angle), radius)]
+    # Two disks, touching or overlapping.
+    first = ProhibitedCircle(polar_point(draw(UNIT), angle), radius)
+    other = draw(st.floats(1e-6, 0.6))
+    reach = radius + other
+    if kind == "overlapping":
+        reach *= draw(st.floats(0.0, 1.0, exclude_max=True))
+    c = polar_point(reach, draw(ANGLES))
+    return [first, ProhibitedCircle(CartesianPoint(first.center.x + c.x, first.center.y + c.y), other)]
+
+
+@st.composite
+def packing_cases(draw):
+    groups = draw(st.lists(disk_groups(), max_size=2))
+    instance = Instance("drawn", [disk for group in groups for disk in group])
+    centers = draw(
+        st.lists(
+            st.builds(polar_point, UNIT, ANGLES),
+            min_size=1,
+            max_size=6,
+            unique_by=lambda p: (p.x, p.y),
+        )
+    )
+    if instance.prohibited:  # one centre just off a disk's rim
+        disk = draw(st.sampled_from(instance.prohibited))
+        off = polar_point(disk.radius + 0.1 * draw(UNIT), draw(ANGLES))
+        centers.append(CartesianPoint(disk.center.x + off.x, disk.center.y + off.y))
+    # Most centres inside a disk would only give r = 0; keep one of them.
+    clear = [
+        p for p in centers
+        if math.hypot(p.x, p.y) < 1.0
+        and all(math.hypot(p.x - f.center.x, p.y - f.center.y) > f.radius for f in instance.prohibited)
+    ]
+    centers = clear or centers[:1]
+    if draw(st.integers(0, 3)) == 3:  # a coincident pair
+        centers.append(centers[0])
+    return np.array([[p.x, p.y] for p in centers]), instance
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(packing_cases())
+def test_corrected_radius_is_the_largest_that_verifies(case):
+    # A positive corrected radius verifies at tolerance zero, and one ulp
+    # more does not.
+    centers, instance = case
+    r = correct_radius(centers, instance)
+    if r > 0.0:
+        assert verify_layout(Layout(centers, r), instance, 0.0).feasible
+        inflated = Layout(centers, math.nextafter(r, math.inf))
+        assert not verify_layout(inflated, instance, 0.0).feasible
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_centres(bad):
     inst = single_disk(0.0, -0.5, 0.2)
@@ -473,6 +549,19 @@ def test_layout_file_round_trip(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["radius"] == "0.20710678"
     assert doc["n"] == 2
+
+
+def test_load_layout_rejects_bad_files(tmp_path):
+    path = tmp_path / "lay.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(LayoutFormatError, match="JSON object"):
+        load_layout(path)
+    path.write_text("{not json")
+    with pytest.raises(LayoutFormatError, match="invalid JSON"):
+        load_layout(path)
+    path.write_bytes(b'{"instance": "probl\xe8me2"}')
+    with pytest.raises(LayoutFormatError, match="not UTF-8"):
+        load_layout(path)
 
 
 def test_layout_dict_validation():

@@ -136,6 +136,9 @@ def test_load_instance_field_errors(tmp_path):
     path.write_text("{not json")
     with pytest.raises(InstanceFormatError, match="JSON"):
         load_instance(path)
+    path.write_bytes(b'{"name": "probl\xe8me"}')
+    with pytest.raises(InstanceFormatError, match="not UTF-8"):
+        load_instance(path)
 
 
 def test_load_instance_warns_on_vacuous_disk(tmp_path):
