@@ -2,7 +2,8 @@
 
 Subcommands: run a search over one problem and several sizes, verify a
 layout file, render a layout to SVG.  Exit codes: 0 success, 1 infeasible
-or no usable result, 2 usage or format errors.
+or no usable result, 2 usage errors, input files that cannot be read or
+parsed, and output paths that cannot be written.
 """
 
 from __future__ import annotations
@@ -66,6 +67,16 @@ def _read(load, path: str, kind: str):
         raise _CliError(str(exc), USAGE_ERROR) from None
 
 
+def _write(save, path, kind: str) -> None:
+    """save(path), with every path that cannot be written a usage error."""
+    try:
+        save(path)
+    except OSError as exc:
+        raise _CliError(
+            f"cannot write {kind} {path}: {exc.strerror or exc}", USAGE_ERROR
+        ) from None
+
+
 def _resolve_problem(token: str, f_count: int | None) -> tuple[Instance, str, int | None]:
     """Returns (instance, problem label, f_count for reporting)."""
     if token.isdigit():
@@ -107,7 +118,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     instance, label, f_count = _resolve_problem(args.problem, args.fcount)
     sizes = _parse_n_list(args.n)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _write(lambda path: path.mkdir(parents=True, exist_ok=True), out_dir, "output directory")
 
     rows: list[ResultRow] = []
     all_feasible = True
@@ -120,7 +131,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         report = run(instance, config, workers=args.workers)
         layout_path = out_dir / f"{instance.name}-n{n}.json"
-        save_layout(report.best_layout, instance.name, layout_path)
+        _write(
+            lambda path: save_layout(report.best_layout, instance.name, path),
+            layout_path,
+            "layout file",
+        )
         rows.append(
             ResultRow(
                 problem=label,
@@ -140,8 +155,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"-> {layout_path}"
         )
 
-    write_results_csv(rows, out_dir / "results.csv")
-    write_results_json(rows, out_dir / "results.json")
+    _write(lambda path: write_results_csv(rows, path), out_dir / "results.csv", "results file")
+    _write(lambda path: write_results_json(rows, path), out_dir / "results.json", "results file")
     return 0 if all_feasible else 1
 
 
@@ -157,9 +172,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     print(f"  prohibited violation:  {report.worst_prohibited_violation:.3e}")
     if not report.feasible:
         print(f"  worst: {report.describe_worst()}")
-    report_path = args.report or (args.layout + ".verify.json")
-    Path(report_path).write_text(
-        json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8"
+    text = json.dumps(report.to_dict(), indent=2) + "\n"
+    _write(
+        lambda path: Path(path).write_text(text, encoding="utf-8"),
+        args.report or (args.layout + ".verify.json"),
+        "report file",
     )
     return 0 if report.feasible else 1
 
@@ -167,7 +184,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_render(args: argparse.Namespace) -> int:
     layout, instance = _load_layout_and_instance(args.layout, args.instance)
     svg = render_svg(layout, instance)
-    Path(args.svg).write_text(svg, encoding="utf-8")
+    _write(lambda path: Path(path).write_text(svg, encoding="utf-8"), args.svg, "SVG file")
     print(f"wrote {args.svg}")
     return 0
 

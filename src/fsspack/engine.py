@@ -12,14 +12,10 @@ layout seen.
 Each solve starts warm from the last one: from its centres, its
 corrected radius and the multipliers it accepted at exit.  The solver's
 penalty is not carried; it restarts at its initial value.  Multipliers
-are carried by row identity (NlpProblem.row_ids), so a row that was
-pruned away in between starts at 0.  They are carried in distance units:
-a row's multiplier times its dg/dh at the exit radius is the multiplier
-of the row's slack in distance units (NlpProblem.distance_multipliers),
-which is the same whether the circle is Cartesian or polar.  Before the
-next solve each carried value is divided by the new row's dg/dh at the
-start radius (NlpProblem.row_multipliers); a row whose dg/dh is 0 there
-(a pair row at R = 0, Cartesian containment at R = 1) starts at 0.
+are carried by row identity (NlpProblem.row_ids), as they are: a row is
+the same function of the centres whichever coordinates its circles use,
+so its multiplier does not depend on the posing.  A row that was pruned
+away in between starts at 0.
 
 The carried multipliers are zero before the first solve.  They are reset
 to zero after a solve that ended in a numerical failure, and after an
@@ -151,7 +147,7 @@ def run_replication(
     best_centers = current.centers.copy()
     previous_r_star = 0.0
     traces: list[IterationTrace] = []
-    # The last solve's multipliers in distance units, indexed by row id.
+    # The last solve's multipliers, indexed by row id.
     carried = np.zeros(row_id_count(n, instance.f_count))
 
     for t in range(config.iterations):
@@ -159,8 +155,7 @@ def run_replication(
         pairs = prune_pairs(current, polar, delta, r_cap, instance)
         problem = build_nlp(instance, polar, current, delta, pairs, r_cap)
         start = problem.pack_start(current.centers, min(max(previous_r_star, 0.0), r_cap))
-        multipliers = problem.row_multipliers(carried[problem.row_ids], start[0])
-        result = solve(problem, start, multipliers)
+        result = solve(problem, start, carried[problem.row_ids])
 
         if result.status == NUMERICAL_FAILURE:
             new_centers = current.centers
@@ -170,9 +165,7 @@ def run_replication(
         r_star = correct_radius(new_centers, instance)
         carried[:] = 0.0
         if result.status != NUMERICAL_FAILURE and r_star > 0.0:
-            carried[problem.row_ids] = problem.distance_multipliers(
-                result.multipliers, result.point[0]
-            )
+            carried[problem.row_ids] = result.multipliers
         if r_star > best_radius:
             best_radius = r_star
             best_centers = new_centers.copy()

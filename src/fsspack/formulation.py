@@ -19,37 +19,32 @@ circle pairs, and clearance from prohibited disks.
 The coordinate choice is a change of variables and nothing more.  Each
 evaluation builds one complex point array: the n slot centres, x + iy
 for Cartesian slots and r e^{i theta} for polar ones, then the origin,
-then the centre of the disk of each clearance row.  Every row but one
-kind is then a single form over two entries a and b of that array:
+then the centre of the disk of each clearance row.  Every row is then a
+single form over two entries a and b of that array:
 
     g = sign * (|p_a - p_b|^2 - (alpha + beta*R)^2)
 
-    containment (Cartesian)  b = origin   alpha = 1    beta = -1  sign = -1
-    separation               b = slot     alpha = 0    beta = 2   sign = +1
-    clearance                b = disk     alpha = r_f  beta = 1   sign = +1
+    containment   b = origin   alpha = 1    beta = -1  sign = -1
+    separation    b = slot     alpha = 0    beta = 2   sign = +1
+    clearance     b = disk     alpha = r_f  beta = 1   sign = +1
 
-so one gather d = p_a - p_b serves every row's value and derivatives.
-The weighted partials 2*sign*w*d are summed per slot by one np.bincount
+so one gather d = p_a - p_b serves every row's value and derivatives,
+and a row is the same function of the centres in every posing.  The
+weighted partials 2*sign*w*d are summed per slot by one np.bincount
 over interleaved (x, y) targets, end a with its weight and end b (a slot
 only in separation rows) with the weight negated, straight into the
 variable layout.  A polar slot's sum g = (gx, gy) is then pulled back to
-(Re(g e^{-i theta}), r Im(g e^{-i theta})).  Polar containment is the one
-exception: it keeps its linear form 1 - R - r, which is exact and,
-unlike 1 - R - |(x, y)|, smooth at the origin.
+(Re(g e^{-i theta}), r Im(g e^{-i theta})).
 
 Every row also has an identity that outlives the program: row_ids
 numbers containment of circle i as i, the pair {i, j} (i < j) as
 n + i*n + j, and clearance of circle i from disk f as n + n^2 + i*k + f,
 with k prohibited disks.  Rows of two programs for the same n and
-instance that share an id are the same geometric constraint, whatever
-the coordinate choice or pruning.  The ids are all the program keeps of
+instance that share an id are the same function of the centres,
+whatever the coordinate choice or pruning, so a multiplier carries
+from one to the other as it is.  The ids are all the program keeps of
 which circles a row joins: NlpProblem.row_tag decodes one into the
-row's family and circles, for diagnostics.  multiplier_factors gives
-each row's dg/dh, with h the row's slack in distance units:
-2*(alpha + beta*R) on the squared rows and 1 on the linear polar
-containment.  A multiplier times its factor is the multiplier of the
-distance-unit constraint, which does not depend on the row's form;
-distance_multipliers and row_multipliers map between the two.
+row's family and circles, for diagnostics.
 
 Finiteness is checked once per use.  constraint_values raises
 EvaluationError naming the family and circles of the first non-finite
@@ -161,7 +156,7 @@ class NlpProblem:
         self.n = n = len(polar)
         self.nv = 2 * n + 1
         self._k = k = instance.f_count
-        self._nc = nc = n - int(np.count_nonzero(polar))
+        self._nc = n - int(np.count_nonzero(polar))
         self._order = np.concatenate((np.flatnonzero(~polar), np.flatnonzero(polar)))
         slot = np.empty(n, dtype=np.intp)
         slot[self._order] = np.arange(n)
@@ -180,22 +175,17 @@ class NlpProblem:
         # disk of each clearance row, as interleaved (x, y).
         self._fixed = np.concatenate(([0.0, 0.0], instance.prohibited_centers()[f].ravel()))
 
-        # Ends a and b of every row, and its alpha, beta and sign.  A polar
-        # containment row has a = b and sign 0, so the row form gives it
-        # no value and no centre partial; it is the linear 1 - R - r.
-        q, slots = len(circle_pairs), np.arange(n)
-        self._ia = np.concatenate((slots, slot[circle_pairs[:, 0]], slot[circle]))
+        # Ends a and b of every row, and its alpha, beta and sign.
+        q = len(circle_pairs)
+        self._ia = np.concatenate((np.arange(n), slot[circle_pairs[:, 0]], slot[circle]))
         self._ib = np.concatenate(
-            (np.full(nc, n), slots[nc:], slot[circle_pairs[:, 1]], n + 1 + np.arange(m - n - q))
+            (np.full(n, n), slot[circle_pairs[:, 1]], n + 1 + np.arange(m - n - q))
         )
         self._alpha = np.concatenate((np.ones(n), np.zeros(q), instance.prohibited_radii()[f]))
-        self._beta = np.concatenate(
-            (np.full(nc, -1.0), np.zeros(n - nc), np.full(q, 2.0), np.ones(m - n - q))
-        )
-        self._sign = np.concatenate((np.full(nc, -1.0), np.zeros(n - nc), np.ones(m - n)))
+        self._beta = np.concatenate((np.full(n, -1.0), np.full(q, 2.0), np.ones(m - n - q)))
+        self._sign = np.concatenate((np.full(n, -1.0), np.ones(m - n)))
         # dg/dR = _radius_slope * (alpha + beta*R), and -dg/dp_a = _pull * d.
         self._radius_slope = -2.0 * self._sign * self._beta
-        self._radius_slope[nc:n] = -1.0
         self._pull = -2.0 * self._sign
 
         # Scatter targets of the interleaved row partials: (x, y) of end a
@@ -220,17 +210,11 @@ class NlpProblem:
         pts, turn = self._points(z)
         return pts[self._ia] - pts[self._ib], self._alpha + self._beta * z[0], turn
 
-    def _values(self, z: np.ndarray, d: np.ndarray, rad: np.ndarray) -> np.ndarray:
-        nc, n = self._nc, self.n
-        values = self._sign * ((d * d.conj()).real - rad * rad)
-        values[nc:n] = (1.0 - z[0]) - z[1 + 2 * nc :: 2]
-        return values
+    def _values(self, d: np.ndarray, rad: np.ndarray) -> np.ndarray:
+        return self._sign * ((d * d.conj()).real - rad * rad)
 
-    def _violations(self, z: np.ndarray, d: np.ndarray, rad: np.ndarray) -> np.ndarray:
-        nc, n = self._nc, self.n
-        out = self._sign * (rad - np.abs(d))
-        out[nc:n] = z[1 + 2 * nc :: 2] + z[0] - 1.0
-        return out
+    def _violations(self, d: np.ndarray, rad: np.ndarray) -> np.ndarray:
+        return self._sign * (rad - np.abs(d))
 
     def _spread(self, partials: np.ndarray) -> np.ndarray:
         """Interleaved scatter weights: each row's partial at end a, negated at end b."""
@@ -254,14 +238,12 @@ class NlpProblem:
         self, z: np.ndarray, d: np.ndarray, rad: np.ndarray, turn: np.ndarray, weights: np.ndarray
     ) -> np.ndarray:
         """Gradient of -R - weights @ g, from the gathered rows at z."""
-        nc = self._nc
         # bincount of nothing (n = 0) is an integer array.
         grad = np.bincount(
             self._scatter, weights=self._spread((weights * self._pull) * d), minlength=self.nv
         ).astype(float, copy=False)
         grad[0] = -1.0 - weights @ (self._radius_slope * rad)
         self._pull_back(grad, turn, z)
-        grad[1 + 2 * nc :: 2] += weights[nc : self.n]
         return grad
 
     def row_tag(self, row: int) -> tuple[str, tuple[int, ...]]:
@@ -287,22 +269,19 @@ class NlpProblem:
     def constraint_values(self, z: np.ndarray) -> np.ndarray:
         """All constraint values g(z) in canonical order."""
         d, rad, _ = self._rows(z)
-        values = self._values(z, d, rad)
+        values = self._values(d, rad)
         self._require_finite(np.isfinite(values), "value")
         return values
 
     def jacobian(self, z: np.ndarray) -> np.ndarray:
         """Dense constraint jacobian, rows in canonical order."""
         d, rad, turn = self._rows(z)
-        nc, n = self._nc, self.n
         out = np.zeros((self.m, self.nv), dtype=float)
         out[:, 0] = self._radius_slope * rad
         rows = np.repeat(np.arange(self.m), 2)
         rows = np.concatenate((rows, rows[self._pair_part]))
         out[rows, self._scatter] = self._spread(-self._pull * d)
         self._pull_back(out, turn, z)
-        polar = np.arange(nc, n)
-        out[polar, 1 + 2 * polar] = -1.0
         self._require_finite(np.isfinite(out).all(axis=1), "derivative")
         return out
 
@@ -316,19 +295,15 @@ class NlpProblem:
 
         Nothing here checks finiteness: the caller's one check of the
         value and gradient is enough.  Inside the finite bounds every row
-        is finite, and a non-finite entry of z always reaches the value
-        or the gradient.  R enters the value directly.  A Cartesian
-        coordinate drives its containment row to -inf or NaN, which
-        w = max(0, lambda - rho*g) carries into the value as +inf or
-        NaN.  A polar theta that is not finite makes e^{i theta} NaN, and
-        with it the r entry of the gradient, Re(g e^{-i theta}), since
-        NaN times 0 is NaN.  A polar r that is not finite makes the theta
-        entry r Im(g e^{-i theta}) infinite, or NaN where Im(...) is 0.
+        is finite, and a non-finite entry of z always reaches the value.
+        R enters it directly.  A non-finite coordinate makes its centre,
+        and so its containment row, infinite or NaN, which
+        w = max(0, lambda - rho*g) carries into the value as +inf or NaN.
         tests/test_formulation.py::test_non_finite_variable_reaches_merit
         tries every variable.
         """
         d, rad, turn = self._rows(z)
-        w = multipliers - penalty * self._values(z, d, rad)
+        w = multipliers - penalty * self._values(d, rad)
         np.maximum(w, 0.0, out=w)
         value = -z[0] + (w @ w - multipliers @ multipliers) / (2.0 * penalty)
         return float(value), self._gradient(z, d, rad, turn, w)
@@ -344,7 +319,7 @@ class NlpProblem:
         unlike the raw squared constraint values.
         """
         d, rad, _ = self._rows(z)
-        return self._violations(z, d, rad)
+        return self._violations(d, rad)
 
     def outer_update(
         self, z: np.ndarray, multipliers: np.ndarray, penalty: float
@@ -357,32 +332,11 @@ class NlpProblem:
         and lagrangian_gradient give, with constraint_values' check.
         """
         d, rad, turn = self._rows(z)
-        values = self._values(z, d, rad)
+        values = self._values(d, rad)
         self._require_finite(np.isfinite(values), "value")
         candidate = np.maximum(0.0, multipliers - penalty * values)
         gradient = self._gradient(z, d, rad, turn, candidate)
-        return values, self._violations(z, d, rad), candidate, gradient
-
-    def multiplier_factors(self, radius: float) -> np.ndarray:
-        """dg/dh per row at R = radius, h the row's slack in distance units.
-
-        2*(alpha + beta*R) on the squared rows, the derivative of
-        |p_a - p_b|^2 - (alpha + beta*R)^2 by |p_a - p_b| where the row is
-        active, and 1 on the linear polar containment.  It is 0 on pair
-        rows at R = 0 and on Cartesian containment at R = 1.
-        """
-        factors = 2.0 * (self._alpha + self._beta * radius)
-        factors[self._nc : self.n] = 1.0
-        return factors
-
-    def distance_multipliers(self, multipliers: np.ndarray, radius: float) -> np.ndarray:
-        """Row multipliers at R = radius, re-expressed in distance units."""
-        return multipliers * self.multiplier_factors(radius)
-
-    def row_multipliers(self, distance: np.ndarray, radius: float) -> np.ndarray:
-        """Inverse of distance_multipliers; 0 on rows whose factor is 0."""
-        factors = self.multiplier_factors(radius)
-        return np.divide(distance, factors, out=np.zeros(self.m), where=factors > 0.0)
+        return values, self._violations(d, rad), candidate, gradient
 
     # -- layout glue ----------------------------------------------------
 

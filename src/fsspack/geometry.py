@@ -153,17 +153,22 @@ class FeasibilityReport:
 def radius_upper_bound(instance: Instance, n: int) -> float:
     """Area bound on the common radius of n packed circles.
 
-    The n circles and the largest prohibited disk must fit disjointly in
-    the container, so n*r^2 + max_f R_f^2 <= 1.  A prohibited disk at
-    least as large as the container forces the bound to 0.
+    The n circles and every prohibited disk that lies inside the
+    container must fit disjointly in it, so n*r^2 + R_f^2 <= 1 for the
+    largest such disk.  A disk that reaches outside the container may
+    take less than its own area from it, so it is left out, unless it
+    covers the whole container, which forces the bound to 0.
     """
     if n < 1:
         raise ValueError(f"need at least one circle, got n={n}")
-    largest = instance.max_prohibited_radius()
-    radicand = (1.0 - largest * largest) / n
-    if radicand <= 0.0:
-        return 0.0
-    return math.sqrt(radicand)
+    largest = 0.0
+    for f in instance.prohibited:
+        reach = math.hypot(f.center.x, f.center.y)
+        if reach + 1.0 <= f.radius:
+            return 0.0
+        if reach + f.radius <= 1.0:
+            largest = max(largest, f.radius)
+    return math.sqrt((1.0 - largest * largest) / n)
 
 
 def as_center_array(centers: Union[np.ndarray, Sequence]) -> np.ndarray:

@@ -23,9 +23,7 @@ per row; None means zeros.  It returns the multipliers it accepted last,
 and the number of merit calls it made.  The penalty always restarts at
 its initial value, so a solve that had to grow it does not leave the
 next one stiff.  The search (fsspack.engine) carries the returned
-multipliers to its next solve by row id, multiplied by each row's dg/dh
-into distance units and divided by the new row's dg/dh at the new start
-(NlpProblem.distance_multipliers and row_multipliers).  It starts cold,
+multipliers to its next solve by row id, as they are.  It starts cold,
 from zeros, on its first solve, after a numerical failure, and after an
 iteration whose corrected radius is 0.
 

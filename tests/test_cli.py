@@ -169,6 +169,26 @@ def test_unreadable_files_are_usage_errors(tmp_path, capsys, command):
         assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("command", ["run", "verify", "render"])
+def test_unwritable_outputs_are_usage_errors(tmp_path, capsys, command):
+    # A path that cannot be written is a usage error naming the path, not
+    # a traceback with the INFEASIBLE exit code.
+    layout_path = layout_fixture(tmp_path)
+    missing = tmp_path / "no" / "such" / "dir"
+    argv = {
+        # An existing file where the output directory should go.
+        "run": ["run", "--problem", "2", "--n", "2", *BUDGET, "--out", str(layout_path)],
+        "verify": ["verify", str(layout_path), "--report", str(missing / "r.json")],
+        "render": ["render", str(layout_path), "--svg", str(missing / "x.svg")],
+    }[command]
+    bad = argv[-1]
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and bad in err
+    assert err.count("\n") == 1
+
+
 COLD_START = """
 import sys
 from fsspack.cli import main

@@ -83,7 +83,8 @@ def test_value_containment_polar():
     p = build_simple(mask(1, 0), [(0.5, 0.0)])
     z = p.pack_start(np.array([[0.5, 0.0]]), 0.2)
     g = p.constraint_values(z)
-    assert g[row_of(p, FAMILY_CONTAINMENT, (0,))] == pytest.approx(0.3, abs=1e-15)
+    # The same squared row as a Cartesian circle: (1 - 0.2)^2 - 0.5^2
+    assert g[row_of(p, FAMILY_CONTAINMENT, (0,))] == pytest.approx(0.39, abs=1e-15)
 
 
 def test_value_pair_cart_cart():
@@ -125,19 +126,26 @@ def test_value_prohibited_polar():
 
 
 def test_coordinate_systems_agree():
-    # The same geometry, measured in distance units, must not depend on
-    # which coordinate system each circle was assigned.
+    # A row is the same function of the centres whichever coordinate
+    # system each circle was assigned: its value, its violation in
+    # distance units and the merit value agree row by row across posings.
     inst = Instance("d", [disk(0.2, 0.3, 0.1)])
     centers = np.array([[0.31, -0.22], [-0.47, 0.11], [0.05, 0.58]])
-    tagged = []
+    rng = np.random.default_rng(31)
+    by_id = rng.uniform(0.0, 2.0, row_id_count(3, 1))
+    tagged, merits = [], []
     for polar in (mask(3), mask(3, 0, 1, 2), mask(3, 1)):
         p = build_simple(polar, centers, inst)
-        lv = p.linear_violations(p.pack_start(centers, 0.17))
-        tagged.append(dict(zip(p.row_ids.tolist(), lv)))
+        z = p.pack_start(centers, 0.17)
+        rows = zip(p.row_ids.tolist(), p.constraint_values(z), p.linear_violations(z))
+        tagged.append({key: (g, lv) for key, g, lv in rows})
+        merits.append(p.augmented_lagrangian(z, by_id[p.row_ids], 10.0)[0])
     assert tagged[0].keys() == tagged[1].keys() == tagged[2].keys()
     for key, value in tagged[0].items():
         assert tagged[1][key] == pytest.approx(value, abs=1e-12), key
         assert tagged[2][key] == pytest.approx(value, abs=1e-12), key
+    assert merits[1] == pytest.approx(merits[0], abs=1e-12)
+    assert merits[2] == pytest.approx(merits[0], abs=1e-12)
 
 
 # --- pruning ---------------------------------------------------------------
@@ -361,7 +369,7 @@ def test_outer_update_matches_the_separate_calls():
         p.outer_update(z, multipliers, 10.0)
 
 
-def test_row_ids_and_multiplier_factors():
+def test_row_ids_name_each_constraint():
     # Ids depend on the circles and the disk alone: not on the coordinate
     # choice, the row order or the orientation of a pair.
     inst = Instance("d", [disk(0.1, -0.2, 0.15), disk(-0.3, 0.35, 0.1)])
@@ -382,13 +390,6 @@ def test_row_ids_and_multiplier_factors():
         p = build_simple(polar, centers, inst, pairs=pairs)
         tags = [p.row_tag(row) for row in range(p.m)]
         assert dict(zip(tags, p.row_ids.tolist())) == want
-        factors = dict(zip(tags, p.multiplier_factors(0.25)))
-        for i in range(n):
-            assert factors[(FAMILY_CONTAINMENT, (i,))] == (1.0 if polar[i] else 2.0 * 0.75)
-        assert factors[(FAMILY_PAIR, (0, 2))] == 2.0 * 0.5
-        assert factors[(FAMILY_PROHIBITED, (2, 1))] == 2.0 * (0.1 + 0.25)
-        # At R = 0 a pair row has no distance-unit multiplier to carry.
-        assert factors[(FAMILY_PAIR, (0, 2))] > 0.0 == p.multiplier_factors(0.0)[3]
 
 
 def test_row_tag_decodes_every_row():
@@ -413,36 +414,14 @@ def test_row_tag_decodes_every_row():
             assert [p.row_tag(row) for row in range(p.m)] == want
 
     # An error names its row by the same decoding: a pair low index first.
-    centers = [(0.5, 0.0), (-0.5, 0.0), (0.0, 0.5)]
+    # Circles 0 and 2 sit far enough apart that only their pair row
+    # overflows; each containment row stays finite.
+    centers = [(1e154, 0.0), (-0.5, 0.0), (-1e154, 0.0)]
     p = build_simple(mask(3, 2), centers, pairs=([(2, 0)], []))
     z = p.pack_start(np.array(centers), 0.1)
-    z[p.var_b[2]] = math.nan
-    with pytest.raises(EvaluationError, match=r"pair family constraint for indices \(0, 2\)"):
-        p.constraint_values(z)
-
-
-def test_multiplier_factors_are_the_row_slopes_in_distance_units():
-    # On an active row h = 0, dg/dh is the ratio of the squared row's
-    # gradient to the gradient of its slack in distance units.
-    inst = Instance("d", [disk(0.0, 0.0, 0.2)])
-    r = 0.2
-    centers = np.array([[0.4, 0.0], [0.4, 2 * r], [-0.8 + 1e-9, 0.0]])
-    p = build_simple(mask(3, 1), centers, inst, r_cap=0.5)
-    z = p.pack_start(centers, r)
-    slack = -p.linear_violations(z)
-    jac = p.jacobian(z)
-    factors = p.multiplier_factors(r)
-    eps = 1e-7
-    active = np.flatnonzero(np.abs(slack) < 1e-6)
-    assert sorted(p.row_tag(row)[0] for row in active) == [
-        FAMILY_CONTAINMENT, FAMILY_PAIR, FAMILY_PROHIBITED
-    ]
-    for row in active:
-        col = 1 + int(np.argmax(np.abs(jac[row, 1:])))
-        zp = z.copy()
-        zp[col] += eps
-        ratio = jac[row, col] / ((-p.linear_violations(zp)[row] - slack[row]) / eps)
-        assert ratio == pytest.approx(factors[row], rel=1e-5), p.row_tag(row)
+    with np.errstate(over="ignore"):
+        with pytest.raises(EvaluationError, match=r"pair family constraint for indices \(0, 2\)"):
+            p.constraint_values(z)
 
 
 def test_merit_gradient_matches_jacobian():
@@ -474,7 +453,8 @@ def test_program_without_pairs_or_disks():
     assert [p.row_tag(row)[0] for row in range(p.m)] == [FAMILY_CONTAINMENT] * 2
     z = p.pack_start(centers, 0.25)
     g = p.constraint_values(z)
-    assert g[row_of(p, FAMILY_CONTAINMENT, (1,))] == pytest.approx(0.25, abs=1e-15)
+    # (1 - 0.25)^2 - 0.3^2 - 0.4^2
+    assert g[row_of(p, FAMILY_CONTAINMENT, (1,))] == pytest.approx(0.3125, abs=1e-15)
     jac = p.jacobian(z)
     assert jac.shape == (2, 5)
     multipliers = np.array([0.5, 2.0])

@@ -29,7 +29,7 @@ from fsspack.geometry import (
     save_layout,
     verify_layout,
 )
-from fsspack.instances import builtin_instance
+from fsspack.instances import builtin_catalogue, builtin_instance
 
 EMPTY = Instance("empty", [])
 # Far enough that float64 clearances from it are off by ~1e-10.
@@ -120,6 +120,33 @@ def test_radius_upper_bound_saturated():
     # A prohibited disk as large as the container leaves no room.
     assert radius_upper_bound(single_disk(0.0, 0.0, 1.0), 3) == 0.0
     assert radius_upper_bound(single_disk(0.0, 0.0, 2.0), 3) == 0.0
+
+
+def test_radius_upper_bound_counts_only_disks_inside_the_container():
+    # A disk that reaches outside the container takes less than its area
+    # from it: the bound must still hold over layouts that verify.
+    outside = single_disk(3.0, 0.0, 1.5)
+    assert correct_radius(np.array([[0.0, 0.0]]), outside) == 1.0
+    assert radius_upper_bound(outside, 1) == 1.0
+    assert radius_upper_bound(outside, 2) == math.sqrt(0.5)
+    overhang = single_disk(1.4, 0.0, 0.6)
+    verified = correct_radius(np.array([[-0.1, 0.0]]), overhang)
+    assert verified == pytest.approx(0.9, abs=1e-15)
+    assert radius_upper_bound(overhang, 1) == 1.0 > verified
+    # A disk inside the container still counts beside one that overhangs.
+    both = Instance("both", overhang.prohibited + single_disk(0.0, 0.5, 0.5).prohibited)
+    assert radius_upper_bound(both, 3) == math.sqrt(0.75 / 3)
+    # A disk that covers the container, off centre, leaves no room.
+    assert radius_upper_bound(single_disk(0.5, 0.0, 1.6), 2) == 0.0
+
+
+def test_radius_upper_bound_of_bundled_instances():
+    # Every bundled disk lies inside the container, so each cap is the
+    # plain area bound over the largest disk.
+    for inst in builtin_catalogue().values():
+        largest = inst.max_prohibited_radius()
+        for n in (1, 10, 100):
+            assert radius_upper_bound(inst, n) == math.sqrt((1.0 - largest * largest) / n)
 
 
 def test_radius_upper_bound_rejects_bad_n():
