@@ -3,8 +3,8 @@
 A formulation space search drives repeated local solves of a smooth
 inequality program, randomly re-posing the coordinates (Cartesian or
 polar) of every circle between solves.  Corrected radii are exact: the
-post-solve correction runs in extended precision and rounds down, so any
-reported layout verifies feasible at tolerance zero.
+post-solve correction works in integer arithmetic and rounds down, so
+any reported layout verifies feasible at tolerance zero.
 """
 
 from .engine import (

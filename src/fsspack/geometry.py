@@ -7,30 +7,29 @@ else builds on: the area bound on the common radius, the post-solve
 radius correction, and an independent feasibility verifier.
 
 Correction and verification screen every constraint in double precision
-first.  Only the candidates whose double value lies within a stated
-rounding bound of the extremum are evaluated again in software extended
-precision, with every coordinate difference formed there, so the result
-is the one an all-candidates extended-precision pass would give.  The
-corrected radius is rounded down to a double, so a corrected layout is
-feasible at tolerance zero.  Everything else is plain double precision.
+first, under a stated rounding bound.  Only the candidates near the
+extremum are evaluated again, exactly: every double is an integer
+multiple of 2^-1074, so Python integers and math.isqrt decide each
+check with no working precision to choose.  The corrected radius is the
+exact minimum clearance rounded down to a double, so a corrected layout
+is feasible at tolerance zero and one ulp more is not; verified
+violations are rounded up, so feasible == (worst() <= tol) at every
+tolerance.  Everything else is plain double precision.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from decimal import ROUND_DOWN, Decimal
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-import mpmath
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-# Working precision (decimal digits) for correction and verification.
-EXTENDED_DPS = 50
 
 
 class LayoutFormatError(ValueError):
@@ -192,37 +191,75 @@ def as_center_array(centers: Union[np.ndarray, Sequence]) -> np.ndarray:
     return arr
 
 
-def _float_rounded_down(value: mpmath.mpf) -> float:
-    # float() rounds to nearest; step down one ulp if that overshot.
-    out = float(value)
-    if mpmath.mpf(out) > value:
-        out = math.nextafter(out, -math.inf)
+# Every finite double is an integer multiple of 2^-1074, the smallest
+# subnormal, so the exact checks count in that unit with Python ints.
+_ONE = 1 << 1074
+
+
+def _units(value: float) -> int:
+    """A finite double as an exact count of 2^-1074."""
+    num, den = float(value).as_integer_ratio()
+    return num << (1075 - den.bit_length())
+
+
+def _rounded(units: int, direction: int) -> float:
+    """units * 2^-1074 rounded to a double, up (direction 1) or down (-1)."""
+    try:
+        out = units / _ONE  # int / int rounds correctly to nearest
+    except OverflowError:
+        out = sys.float_info.max if units > 0 else -sys.float_info.max
+    if (_units(out) - units) * direction < 0:
+        out = math.nextafter(out, direction * math.inf)
     return out
+
+
+def _exact_violation(k: int, x, y, iu, ju, fc, fr) -> tuple[int, int]:
+    """Candidate k's violation at r = 0, exactly rounded up to a count of
+    2^-1074 by rounding its one distance with math.isqrt, and its slope.
+
+    Candidates are numbered as the screens number them: each circle's
+    containment, then each pair (iu, ju), then each (circle, disk).  At a
+    double r the violation is at most a double t exactly when
+    slope * _units(r) + the returned count <= _units(t).
+    """
+    n, pairs = x.size, iu.size
+    if k < n:  # |c_i| + r - 1
+        q = _units(x[k]) ** 2 + _units(y[k]) ** 2
+        root = math.isqrt(q)
+        return root + (root * root < q) - _ONE, 1
+    if k < n + pairs:  # 2r - |c_i - c_j|
+        i, j = iu[k - n], ju[k - n]
+        px, py, reach, slope = x[j], y[j], 0, 2
+    else:  # r + R_f - |c_i - f|
+        i, f = divmod(k - n - pairs, fr.size)
+        px, py, reach, slope = fc[f, 0], fc[f, 1], _units(fr[f]), 1
+    dx = _units(x[i]) - _units(px)
+    dy = _units(y[i]) - _units(py)
+    return reach - math.isqrt(dx * dx + dy * dy), slope
 
 
 def correct_radius(centers: Union[np.ndarray, Sequence], instance: Instance) -> float:
     """Largest common radius keeping the given centres feasible.
 
     Takes the minimum over wall clearances 1 - |c_i|, half pairwise
-    distances, and prohibited clearances |c_i - f| - R_f.  The minimum is
-    evaluated in extended precision and rounded down to a double, so the
-    pair (centres, radius) verifies feasible at tolerance zero.  Centre
+    distances, and prohibited clearances |c_i - f| - R_f, exactly, and
+    rounds it down to a double: the result is the largest double r at
+    which every constraint holds, so (centres, r) verifies feasible at
+    tolerance zero and (centres, nextafter(r, inf)) does not.  Centre
     sets with no positive clearance yield 0.  A centre with a NaN or
     infinite coordinate raises ValueError naming the circle.
 
     Every term is first computed in float64.  With u = 2^-53 and s the
     sum of a term's magnitudes (1 + |c_i|, |c_i - c_j| / 2, or
-    |c_i - f| + R_f), the float64 term is within 7u*s of its
-    extended-precision value: u*s from the rounded coordinate
-    differences, 4u*s from a libm hypot good to two ulps, u*s from the
-    final subtraction or halving, u*s when the interval ends below are
-    rounded, and far less than u*s from the 50-digit evaluation itself.
-    Each term is therefore bounded by value +- (16u*s + 8 * 2^-1074), the
-    last part for subnormal results.  The true minimum lies below the
-    smallest upper end, so only the terms whose lower end reaches it are
-    re-evaluated at EXTENDED_DPS digits, with coordinate differences
-    formed there.  A term whose float64 interval is not finite (overflow)
-    is always re-evaluated.
+    |c_i - f| + R_f), the float64 term is within 7u*s of its exact
+    value: u*s from the rounded coordinate differences, 4u*s from a libm
+    hypot good to two ulps, u*s from the final subtraction or halving,
+    and u*s when the interval ends below are rounded.  Each term is
+    therefore bounded by value +- (16u*s + 8 * 2^-1074), the last part
+    for subnormal results.  The true minimum lies below the smallest
+    upper end, so only the terms whose lower end reaches it are
+    evaluated exactly (see _exact_violation).  A term whose float64
+    interval is not finite (overflow) is always evaluated.
     """
     pts = as_center_array(centers)
     n = pts.shape[0]
@@ -246,28 +283,12 @@ def correct_radius(centers: Union[np.ndarray, Sequence], instance: Instance) -> 
     scale = np.concatenate((1.0 + wall, half, (gap + fr).ravel()))
     bound = 8.0 * math.ulp(1.0) * scale + 8.0 * math.ulp(0.0)
     ceiling = np.fmin.reduce(value + bound, initial=math.inf)
-    first_disk = n + iu.size
 
-    with mpmath.workdps(EXTENDED_DPS):
-        best = None
-        for k in np.flatnonzero(~(value - bound > ceiling)):
-            if k < n:
-                term = 1 - mpmath.hypot(x[k], y[k])
-            elif k < first_disk:
-                i, j = iu[k - n], ju[k - n]
-                dx = mpmath.mpf(x[i]) - mpmath.mpf(x[j])
-                dy = mpmath.mpf(y[i]) - mpmath.mpf(y[j])
-                term = mpmath.hypot(dx, dy) / 2
-            else:
-                i, f = divmod(int(k) - first_disk, fr.size)
-                dx = mpmath.mpf(x[i]) - mpmath.mpf(fc[f, 0])
-                dy = mpmath.mpf(y[i]) - mpmath.mpf(fc[f, 1])
-                term = mpmath.hypot(dx, dy) - mpmath.mpf(fr[f])
-            if best is None or term < best:
-                best = term
-        if best <= 0:
-            return 0.0
-        return max(0.0, _float_rounded_down(best))
+    largest = math.inf  # in counts of 2^-1074
+    for k in np.flatnonzero(~(value - bound > ceiling)):
+        violation, slope = _exact_violation(int(k), x, y, iu, ju, fc, fr)
+        largest = min(largest, -violation // slope)  # slope * r + violation <= 0
+    return max(0.0, _rounded(largest, -1))
 
 
 def verify_layout(layout: Layout, instance: Instance, tol: float) -> FeasibilityReport:
@@ -275,29 +296,28 @@ def verify_layout(layout: Layout, instance: Instance, tol: float) -> Feasibility
 
     Violations are measured in distance units: how far a circle pokes out
     of the container, overlaps a neighbour, or overlaps a prohibited
-    disk.  Each family reports its largest violation and the first
-    circle, pair or (circle, disk) attaining it, in the order
+    disk.  Each is evaluated exactly and rounded up to a double, the
+    smallest double t with violation <= t, so feasible == (worst() <= tol)
+    at every tolerance.  Each family reports its largest violation, or 0
+    if none is positive, and the first circle, pair or (circle, disk),
+    slack ones included, whose rounded violation is largest, in the order
     i, then (i < j), then (i, f).  A circle with a NaN or infinite
     coordinate lies outside the container by an infinite amount; it is
     left out of the pair and prohibited families.
 
-    Every value is the one an extended-precision (EXTENDED_DPS digits)
-    evaluation of all candidates gives, with coordinate differences
-    formed in extended precision, so tolerance zero is meaningful for
-    corrected layouts.  Candidates are screened first: each family is
-    evaluated in float64, vectorised, which takes O(n^2) float64 memory
-    for the pairs.  With u = 2^-53 and s the sum of a candidate's
-    magnitudes (|c_i| + r + 1, |c_i - c_j| + 2r, or |c_i - f| + r + R_f),
-    the float64 violation is within 7u*s of the extended one: u*s from
-    the rounded coordinate differences, 4u*s from a libm hypot good to
-    two ulps, u*s from each of the two additions, and far less than u*s
-    from the extended evaluation.  Each candidate's interval, value +-
+    Candidates are screened first: each family is evaluated in float64,
+    vectorised, which takes O(n^2) float64 memory for the pairs.  With
+    u = 2^-53 and s the sum of a candidate's magnitudes (|c_i| + r + 1,
+    |c_i - c_j| + 2r, or |c_i - f| + r + R_f), the float64 violation is
+    within 7u*s of the exact one: u*s from the rounded coordinate
+    differences, 4u*s from a libm hypot good to two ulps, and u*s from
+    each of the two additions.  Each candidate's interval, value +-
     (16u*s + 8 * 2^-1074), leaves room for rounding its own ends and for
-    subnormal results.  The family maximum is at least the largest lower
-    end, so only candidates whose upper end reaches it are evaluated in
-    extended precision, in loop order, keeping the first strict maximum.
-    A candidate whose float64 interval is not finite (overflow) is always
-    evaluated.
+    subnormal results.  The family maximum lies strictly above the
+    largest lower end, so only candidates whose upper end reaches it are
+    evaluated exactly (see _exact_violation), in loop order, keeping the
+    first strict maximum.  A candidate whose float64 interval is not
+    finite (overflow) is always evaluated.
     """
     if not (tol >= 0.0):
         raise ValueError(f"tolerance must be nonnegative, got {tol}")
@@ -314,54 +334,34 @@ def verify_layout(layout: Layout, instance: Instance, tol: float) -> Feasibility
     cont_raw = np.where(finite, wall + r - 1.0, math.inf)
     cont_scale = np.where(finite, wall + r + 1.0, 0.0)
     iu, ju = np.triu_indices(keep.size, k=1)
-    pair_i, pair_j = keep[iu], keep[ju]
     dist = np.hypot(x[iu] - x[ju], y[iu] - y[ju])
     gap = np.hypot(x[:, None] - fc[None, :, 0], y[:, None] - fc[None, :, 1])
-    n_disks = fr.size
+    rho = _units(r)
+    slot = np.cumsum(finite) - 1  # circle i's index among the finite ones
 
-    with mpmath.workdps(EXTENDED_DPS):
-        radius = mpmath.mpf(r)
+    def exact(k: int) -> float:
+        violation, slope = _exact_violation(int(k), x, y, iu, ju, fc, fr)
+        return _rounded(slope * rho + violation, 1)
 
-        def distance(i: int, px: float, py: float) -> mpmath.mpf:
-            dx = mpmath.mpf(pts[i, 0]) - mpmath.mpf(px)
-            dy = mpmath.mpf(pts[i, 1]) - mpmath.mpf(py)
-            return mpmath.hypot(dx, dy)
+    def first_max(raw: np.ndarray, scale: np.ndarray, exact_at):
+        bound = 8.0 * math.ulp(1.0) * scale + 8.0 * math.ulp(0.0)
+        floor = np.fmax.reduce(raw - bound, initial=-math.inf)
+        worst, at = -math.inf, None
+        for k in np.flatnonzero(~(raw + bound < floor)):
+            value = exact_at(int(k))
+            if value > worst:
+                worst, at = value, int(k)
+        return max(0.0, worst), at
 
-        def first_max(raw: np.ndarray, scale: np.ndarray, exact):
-            bound = 8.0 * math.ulp(1.0) * scale + 8.0 * math.ulp(0.0)
-            floor = np.fmax.reduce(raw - bound, initial=-math.inf)
-            worst = at = None
-            for k in np.flatnonzero(~(raw + bound < floor)):
-                value = exact(int(k))
-                if worst is None or value > worst:
-                    worst, at = value, int(k)
-            return worst, at
-
-        def containment(i: int):
-            return distance(i, 0.0, 0.0) + radius - 1 if finite[i] else mpmath.inf
-
-        def overlap(k: int):
-            j = pair_j[k]
-            return 2 * radius - distance(pair_i[k], pts[j, 0], pts[j, 1])
-
-        def intrusion(k: int):
-            a, f = divmod(k, n_disks)
-            return radius + mpmath.mpf(fr[f]) - distance(keep[a], fc[f, 0], fc[f, 1])
-
-        worst_cont, cont_idx = first_max(cont_raw, cont_scale, containment)
-        worst_pair, k = first_max(2.0 * r - dist, 2.0 * r + dist, overlap)
-        pair_idx = None if k is None else (int(pair_i[k]), int(pair_j[k]))
-        worst_proh, k = first_max(((r + fr) - gap).ravel(), ((r + fr) + gap).ravel(), intrusion)
-        proh_idx = None if k is None else (int(keep[k // n_disks]), k % n_disks)
-
-        def clamped(value) -> float:
-            if value is None or value <= 0:
-                return 0.0
-            return float(value)
-
-        cont = clamped(worst_cont)
-        pair = clamped(worst_pair)
-        proh = clamped(worst_proh)
+    cont, cont_idx = first_max(
+        cont_raw, cont_scale, lambda i: exact(slot[i]) if finite[i] else math.inf
+    )
+    pair, k = first_max(2.0 * r - dist, 2.0 * r + dist, lambda k: exact(keep.size + k))
+    pair_idx = None if k is None else (int(keep[iu[k]]), int(keep[ju[k]]))
+    proh, k = first_max(
+        ((r + fr) - gap).ravel(), ((r + fr) + gap).ravel(), lambda k: exact(keep.size + iu.size + k)
+    )
+    proh_idx = None if k is None else (int(keep[k // fr.size]), k % fr.size)
 
     return FeasibilityReport(
         feasible=(cont <= tol and pair <= tol and proh <= tol),

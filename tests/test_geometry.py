@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from fsspack.formulation import build_nlp
 from fsspack.geometry import (
-    EXTENDED_DPS,
     CartesianPoint,
     FeasibilityReport,
     Instance,
@@ -239,6 +238,28 @@ def test_verify_layout_feasible_roundoff_free():
     assert rep.worst() == 0.0
 
 
+def test_verify_layout_rejects_overhangs_below_any_working_precision():
+    # A circle on the rim pokes out by its radius, however small.
+    for r in (1e-60, 5e-324):
+        rep = verify_layout(Layout(np.array([[1.0, 0.0]]), r), EMPTY, 0.0)
+        assert not rep.feasible
+        assert rep.worst_containment_violation == r
+    # sqrt(2) * 2^-1074 past the wall rounds up to two subnormal steps.
+    rep = verify_layout(Layout(np.array([[5e-324, 5e-324]]), 1.0), EMPTY, 0.0)
+    assert rep.worst_containment_violation == 1e-323
+    # Violations past the largest double round up to inf or -DBL_MAX.
+    # The float64 screen overflows to inf and NaN on the way.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = verify_layout(Layout(np.array([[1.5e308, 0.0], [-1.5e308, 0.0]]), 0.0), EMPTY, 0.0)
+        assert (rep.worst_containment_violation, rep.worst_pairwise_violation) == (1.5e308, 0.0)
+        rep = verify_layout(Layout(np.zeros((2, 2)), 1e308), EMPTY, 0.0)
+    assert (rep.worst_containment_violation, rep.worst_pairwise_violation) == (1e308, math.inf)
+    # 1 - 1e-251 rounds to 1 at any practical working precision.
+    r = correct_radius(np.array([[1e-251, 0.0]]), EMPTY)
+    assert r == math.nextafter(1.0, 0.0)
+    assert not verify_layout(Layout(np.array([[1e-251, 0.0]]), 1.0), EMPTY, 0.0).feasible
+
+
 def test_verify_layout_rejects_negative_tol():
     with pytest.raises(ValueError):
         verify_layout(Layout(np.array([[0.0, 0.0]]), 0.1), EMPTY, -1e-9)
@@ -263,10 +284,8 @@ def test_correct_radius_forms_differences_exactly():
     )
     r = correct_radius(pts, EMPTY)
     assert r == _reference_correct(pts, EMPTY)
-    with mpmath.workdps(EXTENDED_DPS):
-        dx = mpmath.mpf(pts[0, 0]) - mpmath.mpf(pts[1, 0])
-        dy = mpmath.mpf(pts[0, 1]) - mpmath.mpf(pts[1, 1])
-        assert 2 * mpmath.mpf(r) <= mpmath.hypot(dx, dy)
+    dx, dy = (Fraction(a) - Fraction(b) for a, b in zip(pts[0], pts[1]))
+    assert (2 * Fraction(r)) ** 2 <= dx * dx + dy * dy
     assert verify_layout(Layout(pts, r), EMPTY, 0.0).feasible
     assert not verify_layout(Layout(pts, math.nextafter(r, math.inf)), EMPTY, 0.0).feasible
 
@@ -347,12 +366,13 @@ def packing_cases(draw):
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(packing_cases())
 def test_corrected_radius_is_the_largest_that_verifies(case):
-    # A positive corrected radius verifies at tolerance zero, and one ulp
-    # more does not.
+    # A positive corrected radius verifies at tolerance zero.  Whenever
+    # the corrected radius verifies, r = 0 included, one ulp more does not.
     centers, instance = case
     r = correct_radius(centers, instance)
-    if r > 0.0:
-        assert verify_layout(Layout(centers, r), instance, 0.0).feasible
+    feasible = verify_layout(Layout(centers, r), instance, 0.0).feasible
+    assert feasible or r == 0.0
+    if feasible:
         inflated = Layout(centers, math.nextafter(r, math.inf))
         assert not verify_layout(inflated, instance, 0.0).feasible
 
@@ -381,12 +401,39 @@ def test_non_finite_centres(bad):
 # --- screened checks against the all-candidates reference ------------------
 
 
+def _reference_precision(*arrays) -> int:
+    """Working bits at which mpmath rounds every check on these doubles exactly.
+
+    All inputs are multiples of 2^low and below 2^high.  A violation
+    P - sqrt(Q) that is not 0 is then at least 2^(2 low - high - 3) in
+    size, and a double t next to it misses it by at least
+    2^(4 low - 3 high - 120), so an evaluation good to 2^(high + 4 - bits)
+    rounds it exactly once bits > 4 (high - low) + 125.
+    """
+    values = [abs(float(v)) for a in arrays for v in np.ravel(a) if v != 0.0]
+    high = max(math.frexp(v)[1] for v in values)
+    low = min(
+        (num & -num).bit_length() - den.bit_length()
+        for num, den in (v.as_integer_ratio() for v in values)
+    )
+    return 4 * (high - low) + 128
+
+
+def _directed(value: mpmath.mpf, direction: int) -> float:
+    # float() rounds to nearest; step one ulp up (direction 1) or down
+    # (direction -1) if that went the wrong way.
+    out = float(value)
+    if (mpmath.mpf(out) - value) * direction < 0:
+        out = math.nextafter(out, direction * math.inf)
+    return out
+
+
 def _reference_correct(centers, instance: Instance) -> float:
-    """Every term in 50-digit arithmetic, differences formed there."""
+    """Every term in mpmath at _reference_precision, rounded down."""
     pts = np.asarray(centers, dtype=float)
     fc = instance.prohibited_centers()
     fr = instance.prohibited_radii()
-    with mpmath.workdps(EXTENDED_DPS):
+    with mpmath.workprec(_reference_precision(1.0, pts, fc, fr)):
         p = [(mpmath.mpf(x), mpmath.mpf(y)) for x, y in pts]
         terms = [1 - mpmath.hypot(x, y) for x, y in p]
         terms += [
@@ -399,40 +446,36 @@ def _reference_correct(centers, instance: Instance) -> float:
             for x, y in p
             for f in range(fc.shape[0])
         ]
-        best = min(terms)
-        if best <= 0:
-            return 0.0
-        out = float(best)
-        if mpmath.mpf(out) > best:
-            out = math.nextafter(out, -math.inf)
-        return out
+        return max(0.0, _directed(min(terms), -1))
 
 
 def _reference_verify(layout: Layout, instance: Instance, tol: float) -> FeasibilityReport:
-    """The all-candidates 50-digit loop, differences formed in extended precision."""
+    """The all-candidates mpmath loop, each violation rounded up to a double."""
     n = layout.n
     fc = instance.prohibited_centers()
     fr = instance.prohibited_radii()
-    with mpmath.workdps(EXTENDED_DPS):
+    r = float(layout.radius)
+    with mpmath.workprec(_reference_precision(1.0, r, layout.centers, fc, fr)):
         p = [(mpmath.mpf(x), mpmath.mpf(y)) for x, y in layout.centers]
-        radius = mpmath.mpf(float(layout.radius))
+        radius = mpmath.mpf(r)
 
         def first_max(items):
             worst = at = None
             for key, raw in items:
-                if worst is None or raw > worst:
-                    worst, at = raw, key
-            return worst, at
+                value = _directed(raw, 1)
+                if worst is None or value > worst:
+                    worst, at = value, key
+            return (0.0 if worst is None else max(0.0, worst)), at
 
-        worst_cont, cont_idx = first_max(
+        cont, cont_idx = first_max(
             (i, mpmath.hypot(p[i][0], p[i][1]) + radius - 1) for i in range(n)
         )
-        worst_pair, pair_idx = first_max(
+        pair, pair_idx = first_max(
             ((i, j), 2 * radius - mpmath.hypot(p[i][0] - p[j][0], p[i][1] - p[j][1]))
             for i in range(n)
             for j in range(i + 1, n)
         )
-        worst_proh, proh_idx = first_max(
+        proh, proh_idx = first_max(
             (
                 (i, f),
                 radius
@@ -441,9 +484,6 @@ def _reference_verify(layout: Layout, instance: Instance, tol: float) -> Feasibi
             )
             for i in range(n)
             for f in range(fc.shape[0])
-        )
-        cont, pair, proh = (
-            0.0 if v is None or v <= 0 else float(v) for v in (worst_cont, worst_pair, worst_proh)
         )
     return FeasibilityReport(
         feasible=(cont <= tol and pair <= tol and proh <= tol),
@@ -520,7 +560,7 @@ def _oracle_cases():
         arc = []
         for k, step in enumerate(rng.permutation(7)):
             x = 0.2 * k - 0.6
-            with mpmath.workdps(EXTENDED_DPS):
+            with mpmath.workdps(50):
                 reach = mpmath.mpf(1e6) + mpmath.mpf(0.08 + 0.001 * a) + mpmath.mpf(1e-12) * int(step)
                 y = mpmath.mpf(1e6 + 0.5) - mpmath.sqrt(reach**2 - mpmath.mpf(x) ** 2)
             arc.append((x, float(y)))
@@ -529,7 +569,7 @@ def _oracle_cases():
     for k in range(40):
         x0 = rng.uniform(-0.3, 0.3)
         y0 = 0.5 - rng.uniform(0.05, 0.2)
-        with mpmath.workdps(EXTENDED_DPS):
+        with mpmath.workdps(50):
             clear = float(
                 mpmath.hypot(mpmath.mpf(x0), mpmath.mpf(y0) - mpmath.mpf(1e6 + 0.5)) - mpmath.mpf(1e6)
             )
@@ -541,6 +581,14 @@ def _oracle_cases():
     for n in range(2, 61, 2):
         for inst in (p6, p1):
             yield f"{inst.name}-n{n}", _free_points(rng, inst, n), inst
+    # Extreme scales, where a fixed working precision loses the wall or
+    # a prohibited disk, and subnormal or huge distances.
+    yield "tiny-single", np.array([[1e-251, 0.0]]), EMPTY
+    yield "tiny-pair", np.array([[2.2e-251, 0.0], [0.0, 0.0]]), EMPTY
+    yield "tiny-far-disk", np.array([[1e-251, 0.0], [0.0, -1e-251], [-2.2e-251, 1e-251]]), FAR_DISK
+    yield "subnormal", np.array([[5e-324, 0.0], [0.0, -1e-320], [1.5e-323, 2e-323], [-3e-310, 4e-310]]), EMPTY
+    yield "subnormal-far-disk", np.array([[5e-324, 0.0], [0.0, 1e-320]]), FAR_DISK
+    yield "huge", np.array([[1e300, 0.0], [-1e300, 3e299], [0.25, -0.5], [7e299, 7e299]]), FAR_DISK
 
 
 def test_screened_checks_match_the_reference():
@@ -549,7 +597,11 @@ def test_screened_checks_match_the_reference():
         assert r == _reference_correct(pts, inst), label
         for radius in (r, math.nextafter(r, math.inf), r + 1e-9):
             lay = Layout(pts, radius)
-            assert verify_layout(lay, inst, 0.0) == _reference_verify(lay, inst, 0.0), (label, radius)
+            rep = verify_layout(lay, inst, 0.0)
+            assert rep == _reference_verify(lay, inst, 0.0), (label, radius)
+            # Rounding up makes the verdict the worst value's, at any tolerance.
+            for tol in (0.0, 1e-12):
+                assert verify_layout(lay, inst, tol).feasible == (rep.worst() <= tol), (label, tol)
 
 
 # --- formatting and files --------------------------------------------------
