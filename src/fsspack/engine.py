@@ -141,20 +141,19 @@ def run_replication(
     r_cap = radius_upper_bound(instance, n)
     current = random_initial_layout(rng, n)
     polar = random_assignment(rng, n)
-    delta = DELTA_FACTOR * r_cap
-
-    best_radius = 0.0
-    best_centers = current.centers.copy()
-    previous_r_star = 0.0
+    best = current
     traces: list[IterationTrace] = []
     # The last solve's multipliers, indexed by row id.
     carried = np.zeros(row_id_count(n, instance.f_count))
 
     for t in range(config.iterations):
         tic = time.perf_counter()
+        # A box of DELTA_FACTOR * radius would freeze every Cartesian
+        # centre while the radius is 0, as at the start: use the cap.
+        delta = DELTA_FACTOR * (current.radius if current.radius > 0.0 else r_cap)
         pairs = prune_pairs(current, polar, delta, r_cap, instance)
         problem = build_nlp(instance, polar, current, delta, pairs, r_cap)
-        start = problem.pack_start(current.centers, min(max(previous_r_star, 0.0), r_cap))
+        start = problem.pack_start(current.centers, current.radius)
         result = solve(problem, start, carried[problem.row_ids])
 
         if result.status == NUMERICAL_FAILURE:
@@ -166,14 +165,14 @@ def run_replication(
         carried[:] = 0.0
         if result.status != NUMERICAL_FAILURE and r_star > 0.0:
             carried[problem.row_ids] = result.multipliers
-        if r_star > best_radius:
-            best_radius = r_star
-            best_centers = new_centers.copy()
+        current = Layout(new_centers, r_star)
+        if r_star > best.radius:
+            best = current
         traces.append(
             IterationTrace(
                 iteration=t,
                 r_star=r_star,
-                r_best=best_radius,
+                r_best=best.radius,
                 delta=delta,
                 cart_count=n - int(np.count_nonzero(polar)),
                 status=result.status,
@@ -182,15 +181,9 @@ def run_replication(
                 elapsed=time.perf_counter() - tic,
             )
         )
-
-        # While r* is 0, a box of DELTA_FACTOR * r* would freeze every
-        # Cartesian centre; keep the first iteration's box instead.
-        delta = DELTA_FACTOR * (r_star if r_star > 0.0 else r_cap)
-        previous_r_star = r_star
-        current = Layout(new_centers, r_star)
         polar = random_assignment(rng, n)
 
-    return Layout(best_centers.copy(), best_radius), traces
+    return best, traces
 
 
 # (get, set) thread-count entry points, under the names the OpenBLAS

@@ -6,15 +6,15 @@ This module owns the domain types plus the numeric services everything
 else builds on: the area bound on the common radius, the post-solve
 radius correction, and an independent feasibility verifier.
 
-Correction and verification screen every constraint in double precision
-first, under a stated rounding bound.  Only the candidates near the
-extremum are evaluated again, exactly: every double is an integer
-multiple of 2^-1074, so Python integers and math.isqrt decide each
-check with no working precision to choose.  The corrected radius is the
-exact minimum clearance rounded down to a double, so a corrected layout
-is feasible at tolerance zero and one ulp more is not; verified
-violations are rounded up, so feasible == (worst() <= tol) at every
-tolerance.  Everything else is plain double precision.
+Correction and verification share one double-precision screen of every
+constraint, under one stated rounding bound.  Only the candidates near
+the extremum are evaluated again, exactly: every double is an integer
+multiple of 2^-1074, so Python integers and math.isqrt decide each check
+with no working precision to choose.  The corrected radius is the exact
+minimum clearance rounded down to a double, so a corrected layout is
+feasible at tolerance zero and one ulp more is not; verified violations
+are rounded up, so feasible == (worst() <= tol) at every tolerance.  A
+Layout holds finite centres.  Everything else is plain double precision.
 """
 
 from __future__ import annotations
@@ -84,16 +84,13 @@ class Instance:
 
 @dataclass
 class Layout:
-    """n circle centres (Cartesian) sharing one common radius."""
+    """n finite circle centres (Cartesian) sharing one common radius."""
 
     centers: np.ndarray
     radius: float
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.centers, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError(f"centers must have shape (n, 2), got {arr.shape}")
-        self.centers = arr
+        self.centers = as_center_array(self.centers)
         if not (math.isfinite(self.radius) and self.radius >= 0.0):
             raise ValueError(f"radius must be finite and nonnegative, got {self.radius}")
 
@@ -171,10 +168,11 @@ def radius_upper_bound(instance: Instance, n: int) -> float:
 
 
 def as_center_array(centers: Union[np.ndarray, Sequence]) -> np.ndarray:
-    """Coerce centres to an (n, 2) float array.
+    """Coerce centres to an (n, 2) array of finite floats.
 
     Accepts an array, a sequence of (x, y) pairs, or a sequence of
-    CartesianPoint.
+    CartesianPoint.  A centre with a NaN or infinite coordinate raises
+    ValueError naming the circle.
     """
     if isinstance(centers, np.ndarray):
         arr = np.asarray(centers, dtype=float)
@@ -188,6 +186,10 @@ def as_center_array(centers: Union[np.ndarray, Sequence]) -> np.ndarray:
         arr = arr.reshape(1, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"centers must have shape (n, 2), got {arr.shape}")
+    bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"centre of circle {i} is not finite: ({arr[i, 0]}, {arr[i, 1]})")
     return arr
 
 
@@ -213,13 +215,52 @@ def _rounded(units: int, direction: int) -> float:
     return out
 
 
+def _screen(x: np.ndarray, y: np.ndarray, fc: np.ndarray, fr: np.ndarray, r: float):
+    """Every candidate's violation at radius r in float64, as an interval.
+
+    Returns (low, high, iu, ju).  Candidates are numbered as
+    _exact_violation numbers them: each circle's containment
+    |c_i| + r - 1, then each pair (iu, ju), i < j, row-major,
+    2r - |c_i - c_j|, then each (circle, disk) r + R_f - |c_i - f|.  The
+    pairs take O(n^2) float64 memory.
+
+    With u = 2^-53 and s the sum of a candidate's magnitudes
+    (|c_i| + r + 1, |c_i - c_j| + 2r, or |c_i - f| + r + R_f), the float64
+    violation is within 7u*s + 2 * 2^-1074 of the exact one: u*s from the
+    rounded coordinate differences, 4u*s (2 * 2^-1074 if subnormal) from
+    a libm hypot good to two ulps, and u*s from each of the two additions,
+    which are exact when subnormal.  The ends, value -+ (16u*s +
+    8 * 2^-1074), leave room for rounding them and for halving them
+    (correct_radius halves the pairs'), so the exact violation lies in
+    [low, high].  A candidate that overflows gets an end that is not
+    finite, or NaN, and _near_max always keeps it.
+    """
+    iu, ju = np.triu_indices(x.size, k=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        wall = np.hypot(x, y)
+        dist = np.hypot(x[iu] - x[ju], y[iu] - y[ju])
+        gap = np.hypot(x[:, None] - fc[None, :, 0], y[:, None] - fc[None, :, 1])
+        value = np.concatenate((wall + r - 1.0, 2.0 * r - dist, ((r + fr) - gap).ravel()))
+        bound = np.concatenate((wall + r + 1.0, 2.0 * r + dist, ((r + fr) + gap).ravel()))
+        bound *= 8.0 * math.ulp(1.0)
+        bound += 8.0 * math.ulp(0.0)
+        high = value + bound
+        value -= bound
+    return value, high, iu, ju
+
+
+def _near_max(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """Indices, ascending, of the intervals that reach the largest lower
+    end: the exact maximum is at least that end, so it lies among them."""
+    return np.flatnonzero(~(high < np.fmax.reduce(low, initial=-math.inf)))
+
+
 def _exact_violation(k: int, x, y, iu, ju, fc, fr) -> tuple[int, int]:
     """Candidate k's violation at r = 0, exactly rounded up to a count of
     2^-1074 by rounding its one distance with math.isqrt, and its slope.
 
-    Candidates are numbered as the screens number them: each circle's
-    containment, then each pair (iu, ju), then each (circle, disk).  At a
-    double r the violation is at most a double t exactly when
+    Candidates are numbered as _screen numbers them.  At a double r the
+    violation is at most a double t exactly when
     slope * _units(r) + the returned count <= _units(t).
     """
     n, pairs = x.size, iu.size
@@ -249,43 +290,22 @@ def correct_radius(centers: Union[np.ndarray, Sequence], instance: Instance) -> 
     sets with no positive clearance yield 0.  A centre with a NaN or
     infinite coordinate raises ValueError naming the circle.
 
-    Every term is first computed in float64.  With u = 2^-53 and s the
-    sum of a term's magnitudes (1 + |c_i|, |c_i - c_j| / 2, or
-    |c_i - f| + R_f), the float64 term is within 7u*s of its exact
-    value: u*s from the rounded coordinate differences, 4u*s from a libm
-    hypot good to two ulps, u*s from the final subtraction or halving,
-    and u*s when the interval ends below are rounded.  Each term is
-    therefore bounded by value +- (16u*s + 8 * 2^-1074), the last part
-    for subnormal results.  The true minimum lies below the smallest
-    upper end, so only the terms whose lower end reaches it are
-    evaluated exactly (see _exact_violation).  A term whose float64
-    interval is not finite (overflow) is always evaluated.
+    A clearance is -violation / slope at r = 0, so the smallest is the
+    largest violation / slope: the screen at r = 0 (see _screen), with
+    the pairs' ends halved, leaves the candidates evaluated exactly.
     """
     pts = as_center_array(centers)
     n = pts.shape[0]
     if n == 0:
         raise ValueError("centers must be nonempty")
-    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"centre of circle {i} is not finite: ({pts[i, 0]}, {pts[i, 1]})")
-
-    x = pts[:, 0]
-    y = pts[:, 1]
-    fc = instance.prohibited_centers()
-    fr = instance.prohibited_radii()
-    iu, ju = np.triu_indices(n, k=1)
-    wall = np.hypot(x, y)
-    half = 0.5 * np.hypot(x[iu] - x[ju], y[iu] - y[ju])
-    gap = np.hypot(x[:, None] - fc[None, :, 0], y[:, None] - fc[None, :, 1])
-    # Flat order: n wall terms, then pairs (i < j, row-major), then (i, f).
-    value = np.concatenate((1.0 - wall, half, (gap - fr).ravel()))
-    scale = np.concatenate((1.0 + wall, half, (gap + fr).ravel()))
-    bound = 8.0 * math.ulp(1.0) * scale + 8.0 * math.ulp(0.0)
-    ceiling = np.fmin.reduce(value + bound, initial=math.inf)
+    x, y = pts[:, 0], pts[:, 1]
+    fc, fr = instance.prohibited_centers(), instance.prohibited_radii()
+    low, high, iu, ju = _screen(x, y, fc, fr, 0.0)
+    low[n : n + iu.size] *= 0.5
+    high[n : n + iu.size] *= 0.5
 
     largest = math.inf  # in counts of 2^-1074
-    for k in np.flatnonzero(~(value - bound > ceiling)):
+    for k in _near_max(low, high):
         violation, slope = _exact_violation(int(k), x, y, iu, ju, fc, fr)
         largest = min(largest, -violation // slope)  # slope * r + violation <= 0
     return max(0.0, _rounded(largest, -1))
@@ -301,67 +321,37 @@ def verify_layout(layout: Layout, instance: Instance, tol: float) -> Feasibility
     at every tolerance.  Each family reports its largest violation, or 0
     if none is positive, and the first circle, pair or (circle, disk),
     slack ones included, whose rounded violation is largest, in the order
-    i, then (i < j), then (i, f).  A circle with a NaN or infinite
-    coordinate lies outside the container by an infinite amount; it is
-    left out of the pair and prohibited families.
+    i, then (i < j), then (i, f).
 
-    Candidates are screened first: each family is evaluated in float64,
-    vectorised, which takes O(n^2) float64 memory for the pairs.  With
-    u = 2^-53 and s the sum of a candidate's magnitudes (|c_i| + r + 1,
-    |c_i - c_j| + 2r, or |c_i - f| + r + R_f), the float64 violation is
-    within 7u*s of the exact one: u*s from the rounded coordinate
-    differences, 4u*s from a libm hypot good to two ulps, and u*s from
-    each of the two additions.  Each candidate's interval, value +-
-    (16u*s + 8 * 2^-1074), leaves room for rounding its own ends and for
-    subnormal results.  The family maximum lies strictly above the
-    largest lower end, so only candidates whose upper end reaches it are
+    Each family's screen (see _screen) leaves the candidates that are
     evaluated exactly (see _exact_violation), in loop order, keeping the
-    first strict maximum.  A candidate whose float64 interval is not
-    finite (overflow) is always evaluated.
+    first strict maximum.  A Layout's centres can be changed after it is
+    built, so they are checked again (as_center_array).
     """
     if not (tol >= 0.0):
         raise ValueError(f"tolerance must be nonnegative, got {tol}")
-    pts = layout.centers
-    finite = np.isfinite(pts).all(axis=1)
-    keep = np.flatnonzero(finite)
-    x = pts[keep, 0]
-    y = pts[keep, 1]
-    fc = instance.prohibited_centers()
-    fr = instance.prohibited_radii()
+    pts = as_center_array(layout.centers)
+    x, y = pts[:, 0], pts[:, 1]
+    fc, fr = instance.prohibited_centers(), instance.prohibited_radii()
     r = float(layout.radius)
-
-    wall = np.hypot(pts[:, 0], pts[:, 1])
-    cont_raw = np.where(finite, wall + r - 1.0, math.inf)
-    cont_scale = np.where(finite, wall + r + 1.0, 0.0)
-    iu, ju = np.triu_indices(keep.size, k=1)
-    dist = np.hypot(x[iu] - x[ju], y[iu] - y[ju])
-    gap = np.hypot(x[:, None] - fc[None, :, 0], y[:, None] - fc[None, :, 1])
     rho = _units(r)
-    slot = np.cumsum(finite) - 1  # circle i's index among the finite ones
+    low, high, iu, ju = _screen(x, y, fc, fr, r)
 
-    def exact(k: int) -> float:
-        violation, slope = _exact_violation(int(k), x, y, iu, ju, fc, fr)
-        return _rounded(slope * rho + violation, 1)
-
-    def first_max(raw: np.ndarray, scale: np.ndarray, exact_at):
-        bound = 8.0 * math.ulp(1.0) * scale + 8.0 * math.ulp(0.0)
-        floor = np.fmax.reduce(raw - bound, initial=-math.inf)
+    def first_max(start: int, stop: int):
         worst, at = -math.inf, None
-        for k in np.flatnonzero(~(raw + bound < floor)):
-            value = exact_at(int(k))
+        for k in _near_max(low[start:stop], high[start:stop]):
+            violation, slope = _exact_violation(start + int(k), x, y, iu, ju, fc, fr)
+            value = _rounded(slope * rho + violation, 1)
             if value > worst:
                 worst, at = value, int(k)
         return max(0.0, worst), at
 
-    cont, cont_idx = first_max(
-        cont_raw, cont_scale, lambda i: exact(slot[i]) if finite[i] else math.inf
-    )
-    pair, k = first_max(2.0 * r - dist, 2.0 * r + dist, lambda k: exact(keep.size + k))
-    pair_idx = None if k is None else (int(keep[iu[k]]), int(keep[ju[k]]))
-    proh, k = first_max(
-        ((r + fr) - gap).ravel(), ((r + fr) + gap).ravel(), lambda k: exact(keep.size + iu.size + k)
-    )
-    proh_idx = None if k is None else (int(keep[k // fr.size]), k % fr.size)
+    n, m = x.size, x.size + iu.size
+    cont, cont_idx = first_max(0, n)
+    pair, k = first_max(n, m)
+    pair_idx = None if k is None else (int(iu[k]), int(ju[k]))
+    proh, k = first_max(m, low.size)
+    proh_idx = None if k is None else divmod(k, fr.size)
 
     return FeasibilityReport(
         feasible=(cont <= tol and pair <= tol and proh <= tol),

@@ -15,7 +15,8 @@ The schedule is fixed, as in the paper's search:
 - converged when the worst constraint violation and the projected
   Lagrangian gradient are both at most 1e-8;
 - penalty 10 at the start, multiplied by 10 whenever a round misses
-  its feasibility target and by 1000 once the objective stalls, and
+  its feasibility target and by 1000 whenever a second feasible round
+  in a row leaves the objective unmoved (a third ends the solve), and
   capped at 1e14.
 
 A solve may start from given multipliers, one finite nonnegative value
@@ -188,7 +189,6 @@ def solve(
     stalled_rounds = 0
 
     for outer in range(1, _MAX_OUTER + 1):
-        inner_gtol = max(stat_target, 0.1 * _KKT_TOL)
         # The gradient of the last merit call, keyed by the bytes of its
         # point; emptied because the multipliers or the penalty may differ.
         stash: tuple[bytes, np.ndarray] = (b"", np.empty(0))
@@ -203,7 +203,7 @@ def solve(
                     "maxiter": _MAX_INNER,
                     "maxfun": 10 * _MAX_INNER,
                     "ftol": 1e-14,
-                    "gtol": inner_gtol,
+                    "gtol": stat_target,
                     "maxcor": 12,
                 },
             )
@@ -237,8 +237,9 @@ def solve(
         # Degenerate active sets make the multiplier iteration cycle, so
         # the stationarity target can be unreachable in double precision.
         # Once feasible with a frozen objective, further rounds are noise:
-        # boost the penalty once to squeeze the residual violation, then
-        # stop after the next round instead of burning the full budget.
+        # a second such round in a row boosts the penalty to squeeze the
+        # residual violation, and a third stops the solve.  Any other round
+        # resets the count, so the boost can fire again.
         if (
             violation <= _FEAS_TOL
             and abs(z[0] - previous_objective) <= 1e-8 * (1.0 + abs(z[0]))

@@ -248,11 +248,12 @@ def test_verify_layout_rejects_overhangs_below_any_working_precision():
     rep = verify_layout(Layout(np.array([[5e-324, 5e-324]]), 1.0), EMPTY, 0.0)
     assert rep.worst_containment_violation == 1e-323
     # Violations past the largest double round up to inf or -DBL_MAX.
-    # The float64 screen overflows to inf and NaN on the way.
-    with np.errstate(over="ignore", invalid="ignore"):
-        rep = verify_layout(Layout(np.array([[1.5e308, 0.0], [-1.5e308, 0.0]]), 0.0), EMPTY, 0.0)
-        assert (rep.worst_containment_violation, rep.worst_pairwise_violation) == (1.5e308, 0.0)
-        rep = verify_layout(Layout(np.zeros((2, 2)), 1e308), EMPTY, 0.0)
+    # The float64 screen overflows to inf and NaN on the way, silently.
+    huge = np.array([[1.5e308, 0.0], [-1.5e308, 0.0]])
+    rep = verify_layout(Layout(huge, 0.0), EMPTY, 0.0)
+    assert (rep.worst_containment_violation, rep.worst_pairwise_violation) == (1.5e308, 0.0)
+    assert correct_radius(huge, EMPTY) == 0.0
+    rep = verify_layout(Layout(np.zeros((2, 2)), 1e308), EMPTY, 0.0)
     assert (rep.worst_containment_violation, rep.worst_pairwise_violation) == (1e308, math.inf)
     # 1 - 1e-251 rounds to 1 at any practical working precision.
     r = correct_radius(np.array([[1e-251, 0.0]]), EMPTY)
@@ -385,17 +386,13 @@ def test_non_finite_centres(bad):
         pts[2, coord] = bad
         with pytest.raises(ValueError, match="circle 2"):
             correct_radius(pts, inst)
-        rep = verify_layout(Layout(pts, 0.1), inst, 0.0)
-        assert not rep.feasible
-        assert rep.containment_index == 2
-        assert rep.worst_containment_violation == math.inf
-        assert rep.describe_worst() == "containment of circle 2"
-        # The finite circles are still checked against each other.
-        assert rep.pairwise_indices == (0, 3)
-        assert rep.prohibited_indices == (3, 0)
-        assert verify_layout(Layout(pts, 0.5), inst, 0.0).worst_pairwise_violation == pytest.approx(
-            1.0 - math.hypot(0.4, 0.1), abs=1e-15
-        )
+        with pytest.raises(ValueError, match="circle 2"):
+            Layout(pts, 0.1)
+        # A Layout's array can still be changed after construction.
+        lay = Layout(np.zeros((4, 2)), 0.1)
+        lay.centers[:] = pts
+        with pytest.raises(ValueError, match="circle 2"):
+            verify_layout(lay, inst, 0.0)
 
 
 # --- screened checks against the all-candidates reference ------------------
