@@ -50,6 +50,8 @@ class ProhibitedCircle:
     radius: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.center.x) and math.isfinite(self.center.y)):
+            raise ValueError(f"prohibited centre must be finite, got {self.center}")
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise ValueError(f"prohibited radius must be positive, got {self.radius}")
 

@@ -3,21 +3,21 @@
 An augmented Lagrangian outer loop turns the inequality-constrained
 program into a sequence of smooth bound-constrained problems, each
 minimised with L-BFGS-B.  Only first derivatives are used.  Multipliers
-follow the classic max(0, lambda - rho*g) update; the penalty grows
-whenever feasibility stalls, following the usual two-track tolerance
-schedule.  Infeasible starts are fine: the merit function is defined
-everywhere and the first outer rounds simply buy feasibility.
+follow the classic max(0, lambda - rho*g) update; the penalty grows only
+when a round misses its feasibility target, as in the usual two-track
+tolerance schedule.  Infeasible starts are fine: the merit function is
+defined everywhere and the first outer rounds simply buy feasibility.
 
 The schedule is fixed, as in the paper's search:
 
 - at most 50 outer rounds, each an L-BFGS-B run of at most 500
   iterations (5000 merit calls);
-- converged when the worst constraint violation and the projected
-  Lagrangian gradient are both at most 1e-8;
+- converged when the worst constraint violation, the projected
+  Lagrangian gradient and the complementarity max |min(g, lambda)| are
+  all at most 1e-8, at the candidate multipliers;
 - penalty 10 at the start, multiplied by 10 whenever a round misses
-  its feasibility target and by 1000 whenever a second feasible round
-  in a row leaves the objective unmoved (a third ends the solve), and
-  capped at 1e14.
+  its feasibility target, and capped at 1e14; a third feasible round in
+  a row that leaves the objective unmoved ends the solve.
 
 A solve may start from given multipliers, one finite nonnegative value
 per row; None means zeros.  It returns the multipliers it accepted last,
@@ -102,12 +102,6 @@ def minimize(fun, x0, **options):
 
 class _NonFiniteMerit(RuntimeError):
     pass
-
-
-def _projected_gradient_norm(
-    z: np.ndarray, grad: np.ndarray, lower: np.ndarray, upper: np.ndarray
-) -> float:
-    return float(np.max(np.abs(z - np.clip(z - grad, lower, upper)), initial=0.0))
 
 
 def _targets(penalty: float) -> tuple[float, float]:
@@ -216,11 +210,16 @@ def solve(
             break
 
         z = candidate
-        _, violations, candidate_multipliers, grad_lag = problem.outer_update(
+        values, violations, candidate_multipliers, grad_lag = problem.outer_update(
             z, multipliers, penalty
         )
         violation = float(np.max(violations, initial=0.0))
-        stationarity = _projected_gradient_norm(z, grad_lag, lower, upper)
+        # The projected Lagrangian gradient and the complementarity.  A
+        # multiplier carried onto a row gone slack can stay positive, and
+        # hold the gradient stationary short of the optimum.
+        projected = z - np.clip(z - grad_lag, lower, upper)
+        complementarity = np.minimum(values, candidate_multipliers)
+        stationarity = float(np.max(np.abs(np.concatenate((projected, complementarity)))))
 
         if violation <= max(feas_target, _FEAS_TOL):
             multipliers = candidate_multipliers
@@ -237,9 +236,9 @@ def solve(
         # Degenerate active sets make the multiplier iteration cycle, so
         # the stationarity target can be unreachable in double precision.
         # Once feasible with a frozen objective, further rounds are noise:
-        # a second such round in a row boosts the penalty to squeeze the
-        # residual violation, and a third stops the solve.  Any other round
-        # resets the count, so the boost can fire again.
+        # a third such round in a row stops the solve, and any other round
+        # resets the count.  The search corrects the radius of the exit
+        # centres exactly, so the last digits of the violation buy nothing.
         if (
             violation <= _FEAS_TOL
             and abs(z[0] - previous_objective) <= 1e-8 * (1.0 + abs(z[0]))
@@ -248,10 +247,7 @@ def solve(
         else:
             stalled_rounds = 0
         previous_objective = z[0]
-        if stalled_rounds == 2:
-            penalty = min(penalty * 1.0e3, _PENALTY_CAP)
-            feas_target, stat_target = _targets(penalty)
-        elif stalled_rounds >= 3:
+        if stalled_rounds >= 3:
             outer_used = outer
             break
 

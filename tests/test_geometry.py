@@ -73,6 +73,16 @@ def test_prohibited_circle_validation():
     assert not ProhibitedCircle(CartesianPoint(0.9, 0.0), 0.2).is_vacuous()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_prohibited_circle_refuses_non_finite_centres(bad):
+    # Let through, a NaN centre would stop correct_radius with a bare
+    # "cannot convert NaN to integer ratio", and radius_upper_bound would
+    # skip the disk.
+    for center in (CartesianPoint(bad, 0.0), CartesianPoint(0.0, bad)):
+        with pytest.raises(ValueError, match="prohibited centre must be finite"):
+            ProhibitedCircle(center, 0.1)
+
+
 def test_instance_prohibited_accessors():
     inst = single_disk(-0.5, 0.25, 0.1)
     assert inst.f_count == 1

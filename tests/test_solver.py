@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
-from fsspack import solver
-from fsspack.formulation import EvaluationError, build_nlp, row_id_count
+from fsspack import engine, solver
+from fsspack.engine import FssConfig, replication_rng, run_replication
+from fsspack.formulation import EvaluationError, NlpProblem, build_nlp, row_id_count
 from fsspack.geometry import (
     CartesianPoint,
     Instance,
@@ -152,6 +153,53 @@ def test_converged_objective_agrees_with_correction():
     assert res.status == CONVERGED
     corrected = correct_radius(p.extract_centers(res.point), EMPTY)
     assert abs(corrected - res.objective) <= 1e-8 + 1e-9
+
+
+@pytest.mark.parametrize("carried", [300.0, 1000.0])
+def test_a_multiplier_on_a_slack_row_does_not_converge_short(carried):
+    # The disk lies outside the container, so its clearance row is slack
+    # at the optimum (radius 1 at the origin).  A large carried multiplier
+    # on it drives the first round to radius 0 at a box corner, where the
+    # Lagrangian gradient vanishes at a still positive multiplier:
+    # stationary, but not complementary, so not converged.
+    inst = Instance("outside", [ProhibitedCircle(CartesianPoint(3.0, 0.0), 1.0)])
+    centers = np.array([[0.0, 0.0]])
+    p = build_for(centers, mask(1), inst)
+    multipliers = np.zeros(p.m)
+    multipliers[-1] = carried
+    res = solve(p, p.pack_start(centers, 0.5), multipliers)
+    corrected = correct_radius(p.extract_centers(res.point), inst)
+    assert res.status != CONVERGED or corrected == pytest.approx(1.0, abs=1e-8)
+    if res.status == CONVERGED:
+        assert res.multipliers[-1] == 0.0
+
+
+def test_the_penalty_grows_only_by_the_growth_factor(monkeypatch):
+    # One rule moves the penalty: it starts at its initial value in every
+    # solve and grows by _PENALTY_GROWTH when a round misses its
+    # feasibility target.  Record the penalty each merit call of a short
+    # search sees, solve by solve.
+    solves = []
+    real_solve, real_merit = engine.solve, NlpProblem.augmented_lagrangian
+
+    def recording_solve(*args):
+        solves.append([])
+        return real_solve(*args)
+
+    def recording_merit(self, z, multipliers, penalty):
+        solves[-1].append(penalty)
+        return real_merit(self, z, multipliers, penalty)
+
+    monkeypatch.setattr(engine, "solve", recording_solve)
+    monkeypatch.setattr(NlpProblem, "augmented_lagrangian", recording_merit)
+    config = FssConfig(n=10, iterations=3, replications=1)
+    run_replication(builtin_instance(2), config, replication_rng(config.seed, 0))
+    assert len(solves) == 3
+    rises = []
+    for penalties in solves:
+        assert penalties[0] == solver._INITIAL_PENALTY
+        rises += [b / a for a, b in zip(penalties, penalties[1:]) if b != a]
+    assert rises and all(rise == solver._PENALTY_GROWTH for rise in rises)
 
 
 def test_infeasible_start_recovers():
