@@ -11,10 +11,13 @@ arrays, which build_nlp takes as they are.
 
 Variable layout: the common radius first, then (x, y) per Cartesian
 circle in index order, then (r, theta) per polar circle in index order.
-Slot k of that circle order owns variables 1 + 2k and 2 + 2k.  Movement
-limits fold into the variable bounds, so the nonlinear constraints are
-exactly three families: containment in the unit disk, separation of
-circle pairs, and clearance from prohibited disks.
+Slot k of that circle order owns variables 1 + 2k and 2 + 2k.  The
+bounds are exactly those prune_pairs relies on: R in [0, r_cap] and each
+Cartesian centre in its movement box c +- delta, even past the container,
+which the containment rows hold.  Polar (r, theta) are unbounded; r < 0
+is the point r e^{i theta}.  So the nonlinear constraints are exactly
+three families: containment in the unit disk, separation of circle
+pairs, and clearance from prohibited disks.
 
 The coordinate choice is a change of variables and nothing more.  Each
 evaluation builds one complex point array: the n slot centres, x + iy
@@ -59,7 +62,7 @@ import math
 
 import numpy as np
 
-from .geometry import Instance, Layout, TWO_PI
+from .geometry import Instance, Layout
 
 ROOT2 = math.sqrt(2.0)
 
@@ -294,11 +297,10 @@ class NlpProblem:
         -R + (||max(0, lambda - rho*g)||^2 - ||lambda||^2) / (2*rho).
 
         Nothing here checks finiteness: the caller's one check of the
-        value and gradient is enough.  Inside the finite bounds every row
-        is finite, and a non-finite entry of z always reaches the value.
-        R enters it directly.  A non-finite coordinate makes its centre,
-        and so its containment row, infinite or NaN, which
-        w = max(0, lambda - rho*g) carries into the value as +inf or NaN.
+        value and gradient is enough.  R enters the value directly.  A
+        non-finite coordinate, or a polar r whose square overflows, makes
+        its containment row infinite or NaN, and w = max(0, lambda -
+        rho*g) carries that into the value as +inf or NaN.
         tests/test_formulation.py::test_non_finite_variable_reaches_merit
         tries every variable.
         """
@@ -341,18 +343,11 @@ class NlpProblem:
     # -- layout glue ----------------------------------------------------
 
     def pack_start(self, centers: np.ndarray, radius: float) -> np.ndarray:
-        """Start vector from Cartesian centres plus a radius guess."""
-        nc = self._nc
-        z = np.empty(self.nv, dtype=float)
-        z[0] = radius
-        z[1::2] = centers[self._order, 0]
-        z[2::2] = centers[self._order, 1]
-        x, y = z[1 + 2 * nc :: 2], z[2 + 2 * nc :: 2]
-        r = np.hypot(x, y)
-        theta = np.arctan2(y, x)
-        theta[theta < 0.0] += TWO_PI
-        x[:] = r
-        y[:] = theta
+        """Start vector from Cartesian centres plus a radius guess; a polar
+        slot starts at (|c|, arctan2(y, x)), with no wrap."""
+        z = np.concatenate(([radius], centers[self._order].ravel()))
+        x, y = z[1 + 2 * self._nc :: 2], z[2 + 2 * self._nc :: 2]
+        x[:], y[:] = np.hypot(x, y), np.arctan2(y, x)
         return z
 
     def extract_centers(self, z: np.ndarray) -> np.ndarray:
@@ -373,12 +368,11 @@ def build_nlp(
 ) -> NlpProblem:
     """Assemble the program for one solve.
 
-    polar is the bool mask of polar circles.  Movement limits apply to
-    Cartesian circles only and are intersected with the container box
-    [-1, 1]; polar circles get the full (r, theta) box.  pairs holds the
-    retained circle pairs and (circle, disk) clearances, as prune_pairs
-    returns them; they decide which separation and clearance constraints
-    appear.
+    polar is the bool mask of polar circles.  R is bounded to [0, r_cap]
+    and each Cartesian centre c to the box c +- delta; polar (r, theta)
+    are unbounded.  pairs holds the retained circle pairs and (circle,
+    disk) clearances, as prune_pairs returns them; they decide which
+    separation and clearance constraints appear.
     """
     n = current.centers.shape[0]
     polar = _check_inputs(polar, n, delta, r_cap)
@@ -394,16 +388,12 @@ def build_nlp(
         i, f = clearances[np.argmax(bad)]
         raise ValueError(f"pair ({i}, {f}) references an unknown circle or disk")
 
-    # Bounds in the variable layout: (x, y) per Cartesian slot, then
-    # (r, theta) per polar slot.
-    boxed = current.centers[~polar]
-    nc = len(boxed)
-    lower = np.empty(2 * n + 1, dtype=float)
-    upper = np.empty(2 * n + 1, dtype=float)
+    # Bounds in the variable layout: R, then (x, y) per Cartesian slot,
+    # then (r, theta) per polar slot, left unbounded.
+    boxed = current.centers[~polar].ravel()
+    lower = np.full(2 * n + 1, -np.inf)
+    upper = np.full(2 * n + 1, np.inf)
     lower[0], upper[0] = 0.0, r_cap
-    lower[1 : 1 + 2 * nc] = np.maximum(-1.0, boxed - delta).ravel()
-    upper[1 : 1 + 2 * nc] = np.minimum(1.0, boxed + delta).ravel()
-    lower[1 + 2 * nc :] = 0.0
-    upper[1 + 2 * nc :: 2] = 1.0
-    upper[2 + 2 * nc :: 2] = TWO_PI
+    lower[1 : 1 + len(boxed)] = boxed - delta
+    upper[1 : 1 + len(boxed)] = boxed + delta
     return NlpProblem(instance, polar, lower, upper, circle_pairs, clearances)

@@ -383,6 +383,17 @@ def layout_to_dict(layout: Layout, instance_name: str) -> dict:
     }
 
 
+def _decimal(value, where: str) -> float:
+    """A number field of a layout document, as a float."""
+    try:
+        # float() would read a JSON true or false as 1.0 or 0.0.
+        if isinstance(value, bool):
+            raise TypeError
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise LayoutFormatError(f"{where} is not a decimal string: {value!r}") from None
+
+
 def layout_from_dict(doc: dict) -> tuple[Layout, str]:
     """Parse a layout document; returns the layout and its instance name."""
     if not isinstance(doc, dict):
@@ -396,12 +407,9 @@ def layout_from_dict(doc: dict) -> tuple[Layout, str]:
         raise LayoutFormatError(f"layout document missing key {exc}") from None
     if not isinstance(name, str):
         raise LayoutFormatError("field 'instance' must be a string")
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise LayoutFormatError(f"field 'n' must be a positive integer, got {n!r}")
-    try:
-        radius = float(radius_text)
-    except (TypeError, ValueError):
-        raise LayoutFormatError(f"field 'radius' is not a decimal string: {radius_text!r}") from None
+    radius = _decimal(radius_text, "field 'radius'")
     if not isinstance(raw_centers, list) or len(raw_centers) != n:
         raise LayoutFormatError("field 'centers' must be a list of n [x, y] pairs")
     centers = np.empty((n, 2), dtype=float)
@@ -409,12 +417,7 @@ def layout_from_dict(doc: dict) -> tuple[Layout, str]:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise LayoutFormatError(f"centers[{i}] must be an [x, y] pair")
         for k in range(2):
-            try:
-                centers[i, k] = float(pair[k])
-            except (TypeError, ValueError):
-                raise LayoutFormatError(
-                    f"centers[{i}][{k}] is not a decimal string: {pair[k]!r}"
-                ) from None
+            centers[i, k] = _decimal(pair[k], f"centers[{i}][{k}]")
     if not np.all(np.isfinite(centers)) or not math.isfinite(radius) or radius < 0.0:
         raise LayoutFormatError("layout values must be finite and radius nonnegative")
     return Layout(centers, radius), name
@@ -430,6 +433,6 @@ def load_layout(path: Union[str, Path]) -> tuple[Layout, str]:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise LayoutFormatError(f"{path} is not UTF-8 text: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal past Python's digit limit
         raise LayoutFormatError(f"invalid JSON in {path}: {exc}") from None
     return layout_from_dict(doc)

@@ -131,8 +131,11 @@ def instance_from_name(name: str) -> Instance:
 
 def _parse_coordinate(raw, where: str) -> float:
     try:
+        # float() would read a JSON true or false as 1.0 or 0.0.
+        if isinstance(raw, bool):
+            raise TypeError
         value = float(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InstanceFormatError(f"{where}: not a decimal string: {raw!r}") from None
     if not math.isfinite(value):
         raise InstanceFormatError(f"{where}: must be finite, got {raw!r}")
@@ -149,7 +152,7 @@ def load_instance(path: Union[str, Path]) -> Instance:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise InstanceFormatError(f"{path} is not UTF-8 text: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal past Python's digit limit
         raise InstanceFormatError(f"invalid JSON in {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise InstanceFormatError("instance document must be a JSON object")

@@ -148,6 +148,18 @@ def test_verify_usage_errors(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{\"instance\": \"problem2\"}")
     assert run_cli("verify", str(bad)) == 2
+    # JSON true is a Python int, equal to 1; it must not reach numpy as
+    # the size of a one-circle layout.
+    doc = read_json(layout_path)
+    doc["n"], doc["centers"] = True, doc["centers"][:1]
+    bad.write_text(json.dumps(doc))
+    assert run_cli("verify", str(bad)) == 2
+    # A radius no double holds, which float() or json.loads refuses.
+    doc = read_json(layout_path)
+    doc["radius"] = "RADIUS"
+    for digits in (400, 5000):
+        bad.write_text(json.dumps(doc).replace('"RADIUS"', "1" + "0" * digits))
+        assert run_cli("verify", str(bad)) == 2
 
 
 @pytest.mark.parametrize("command", ["verify", "render"])

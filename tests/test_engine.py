@@ -133,13 +133,14 @@ def test_replication_traces_are_coherent():
     assert lay.radius == traces[-1].r_best
 
 
-def test_zero_radius_keeps_the_first_box():
-    # problem2 at n = 40, seed 9, replication 0: the first solve ends at a
-    # corrected radius of 0.  A box of DELTA_FACTOR * 0 would freeze every
-    # Cartesian centre and hold r* at 0 for good.
+def test_zero_radius_keeps_the_first_box(monkeypatch):
+    # The first solve's corrected radius reads 0.  A box of
+    # DELTA_FACTOR * 0 would freeze every Cartesian centre and hold r* at
+    # 0 for good.
+    recording_solve(monkeypatch, zero_radius_at={0})
     inst = builtin_instance(2)
-    cfg = FssConfig(n=40, iterations=4, replications=1, seed=9)
-    r_cap = radius_upper_bound(inst, 40)
+    cfg = FssConfig(n=6, iterations=4, replications=1, seed=9)
+    r_cap = radius_upper_bound(inst, 6)
     _, traces = run_replication(inst, cfg, replication_rng(9, 0))
     assert traces[0].r_star == 0.0
     assert traces[1].delta == engine.DELTA_FACTOR * r_cap

@@ -253,18 +253,23 @@ def test_build_counts_and_bounds():
     assert p.nv == 5
     assert p.m == 2 + 1 + 2
     assert p.lower[0] == 0.0 and p.upper[0] == 0.4
-    # Movement boxes are clipped to the container square.
-    x1 = p.var_a[1]
-    assert p.lower[x1] == pytest.approx(0.75)
-    assert p.upper[x1] == 1.0
+    # A movement box is c +- delta, also past the container's edge: the
+    # containment rows hold the container.
+    x1, y1 = p.var_a[1], p.var_b[1]
+    assert (p.lower[x1], p.upper[x1]) == (0.95 - 0.2, 0.95 + 0.2)
+    assert (p.lower[y1], p.upper[y1]) == (-0.2, 0.2)
 
 
-def test_polar_bounds_cover_full_disk():
+def test_polar_variables_are_unbounded():
+    # prune_pairs keeps every pair that touches a polar circle, so no
+    # bound on (r, theta) is needed; r < 0 is the point r e^{i theta}.
     p = build_simple(mask(1, 0), [(0.3, 0.3)], delta=0.01)
     r_slot, t_slot = p.var_a[0], p.var_b[0]
-    assert (p.lower[r_slot], p.upper[r_slot]) == (0.0, 1.0)
-    assert p.lower[t_slot] == 0.0
-    assert p.upper[t_slot] == pytest.approx(2.0 * math.pi)
+    for slot in (r_slot, t_slot):
+        assert (p.lower[slot], p.upper[slot]) == (-math.inf, math.inf)
+    z = p.pack_start(np.array([[0.3, 0.3]]), 0.1)
+    z[r_slot], z[t_slot] = -0.5, 0.0
+    assert p.extract_centers(z).tolist() == [[-0.5, 0.0]]
 
 
 def test_build_rejects_bad_pairs():
@@ -296,13 +301,12 @@ def test_pack_extract_round_trip():
 
 
 def test_pack_extract_round_trip_at_polar_seams():
-    # theta just above 0, theta just below 2*pi (which rounds to 2*pi),
-    # and r = 0 must pack into the polar box and map back to the same centres.
+    # theta just either side of 0 and r = 0 must map back to the same
+    # centres.  theta is arctan2(y, x), with no wrap into [0, 2*pi].
     centers = np.array([[0.5, 1e-17], [0.5, -1e-17], [0.0, 0.0]])
     p = build_simple(mask(3, 0, 1, 2), centers)
     z = p.pack_start(centers, 0.1)
-    assert np.all(z >= p.lower) and np.all(z <= p.upper)
-    assert z[p.var_b[1]] == 2.0 * math.pi
+    assert z[p.var_b[0]] == 2e-17 and z[p.var_b[1]] == -2e-17
     assert z[p.var_a[2]] == 0.0
     assert np.allclose(p.extract_centers(z), centers, rtol=0.0, atol=1e-15)
 
@@ -482,8 +486,10 @@ def test_non_finite_variable_reaches_merit(assignment, with_pairs, with_disks):
     p = build_simple(np.array(assignment), centers, inst, pairs=pairs)
     start = p.pack_start(centers, 0.17)
     settings = [(np.zeros(p.m), 10.0), (np.linspace(0.5, 2.0, p.m), 1e6)]
+    # Polar r is unbounded, so a finite r whose square overflows must show too.
+    polar_r = p.var_a[np.array(assignment)]
     for j in range(p.nv):
-        for bad in (math.nan, math.inf, -math.inf):
+        for bad in (math.nan, math.inf, -math.inf) + ((1e200, -1e200) if j in polar_r else ()):
             z = start.copy()
             z[j] = bad
             for multipliers, penalty in settings:

@@ -52,13 +52,13 @@ def single_disk(x: float, y: float, r: float) -> Instance:
 
 
 def test_cart_polar_quadrants():
-    # The polar convention of the packing program: theta in [0, 2*pi],
+    # The polar convention of the packing program: theta = arctan2(y, x),
     # measured from the +x axis, and r = 0 at the origin.
     centers = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 0.0]])
     p = build_nlp(EMPTY, np.ones(4, dtype=bool), Layout(centers, 0.0), 2.0, ([], []), 1.0)
     z = p.pack_start(centers, 0.1)
-    assert z[p.var_b[0]] == pytest.approx(math.pi)
-    assert z[p.var_b[1]] == pytest.approx(1.5 * math.pi)
+    assert z[p.var_b[0]] == math.pi
+    assert z[p.var_b[1]] == -0.5 * math.pi
     assert z[p.var_b[2]] == 0.0
     assert z[p.var_a[3]] == 0.0
     assert np.allclose(p.extract_centers(z), centers, rtol=0.0, atol=1e-15)
@@ -648,6 +648,13 @@ def test_load_layout_rejects_bad_files(tmp_path):
     path.write_bytes(b'{"instance": "probl\xe8me2"}')
     with pytest.raises(LayoutFormatError, match="not UTF-8"):
         load_layout(path)
+    # Integers no double holds: float() overflows on 400 digits, and
+    # json.loads refuses 5000, past Python's digit limit, with a ValueError.
+    for digits, message in ((400, "'radius' is not a decimal string"), (5000, "invalid JSON")):
+        radius = "1" + "0" * digits
+        path.write_text(f'{{"instance": "x", "n": 1, "radius": {radius}, "centers": [[0, 0]]}}')
+        with pytest.raises(LayoutFormatError, match=message):
+            load_layout(path)
 
 
 def test_layout_dict_validation():
@@ -670,3 +677,15 @@ def test_layout_dict_validation():
     bad["centers"] = [["zero", "0.2"]]
     with pytest.raises(LayoutFormatError):
         layout_from_dict(bad)
+    # JSON true and false load as bools, which pass as int and which
+    # float() reads as 1.0 and 0.0.
+    for field, value, message in (
+        ("n", True, "'n' must be a positive integer"),
+        ("radius", True, "'radius' is not a decimal string"),
+        ("centers", [[True, "0.2"]], r"centers\[0\]\[0\] is not a decimal string"),
+        ("centers", [["0.1", False]], r"centers\[0\]\[1\] is not a decimal string"),
+    ):
+        bad = dict(doc)
+        bad[field] = value
+        with pytest.raises(LayoutFormatError, match=message):
+            layout_from_dict(bad)

@@ -139,6 +139,18 @@ def test_load_instance_field_errors(tmp_path):
     path.write_bytes(b'{"name": "probl\xe8me"}')
     with pytest.raises(InstanceFormatError, match="not UTF-8"):
         load_instance(path)
+    # float() reads JSON true and false as 1.0 and 0.0.
+    for field, flag in (("x", False), ("y", True), ("r", True)):
+        entry = {"x": "0", "y": "0", "r": "0.1", field: flag}
+        with pytest.raises(InstanceFormatError, match=rf"prohibited\[0\]\.{field}: not a decimal"):
+            load_doc({"name": "x", "prohibited": [entry]})
+    # Integers no double holds: float() overflows on 400 digits, and
+    # json.loads refuses 5000, past Python's digit limit, with a ValueError.
+    for digits, message in ((400, r"prohibited\[0\]\.x: not a decimal"), (5000, "invalid JSON")):
+        x = "1" + "0" * digits
+        path.write_text(f'{{"name": "x", "prohibited": [{{"x": {x}, "y": 0, "r": 0.1}}]}}')
+        with pytest.raises(InstanceFormatError, match=message):
+            load_instance(path)
 
 
 def test_load_instance_warns_on_vacuous_disk(tmp_path):

@@ -132,6 +132,30 @@ def test_polar_formulation_reaches_the_same_optimum(monotone_merit):
     assert corrected == pytest.approx((1.0 - hole) / 2.0, abs=1e-7)
 
 
+@pytest.mark.parametrize(
+    "disk, start, want, centre",
+    [
+        # Through the origin: r passes 0 and ends at -0.4.
+        ((0.5, 0.0, 0.3), (0.05, 0.0), 0.6, (-0.4, 0.0)),
+        # Across theta = 0: theta goes from 0.1 to -pi/2.
+        ((0.0, 0.6, 0.35), (0.5 * np.cos(0.1), 0.5 * np.sin(0.1)), 0.625, (0.0, -0.375)),
+    ],
+    ids=["through-origin", "across-theta-0"],
+)
+def test_a_polar_circle_is_not_held_at_r_0_or_theta_0(monotone_merit, disk, start, want, centre):
+    # One polar circle and one disk; the best circle lies on the far side
+    # of the origin or of theta = 0 from the start.  A box r >= 0 or
+    # theta >= 0 would stop the solve on it, short of the optimum.
+    x, y, r = disk
+    inst = Instance("one-disk", [ProhibitedCircle(CartesianPoint(x, y), r)])
+    p = build_for([start], mask(1, 0), inst)
+    res = solve(p, p.pack_start(np.array([start]), 0.1))
+    assert res.status == CONVERGED
+    centers = p.extract_centers(res.point)
+    assert correct_radius(centers, inst) == pytest.approx(want, abs=1e-8)
+    assert np.allclose(centers, [centre], rtol=0.0, atol=1e-6)
+
+
 def test_solver_is_deterministic():
     rng = np.random.default_rng(13)
     centers = rng.uniform(-0.5, 0.5, size=(6, 2))
@@ -232,8 +256,9 @@ def test_gradient_check_interior_and_bounds():
     p = build_for(centers, mask(4, 1, 3), inst, delta=0.5)
     interior = p.pack_start(centers, 0.2)
     assert gradient_check(p, interior) < 1e-8
-    # Clamp a point onto the bounds; one-sided differences are coarser.
-    at_bounds = np.clip(interior, p.lower, p.lower)
+    # Move every boxed variable onto its lower bound; one-sided
+    # differences are coarser.  The polar variables are unbounded.
+    at_bounds = np.where(np.isfinite(p.lower), p.lower, interior)
     assert gradient_check(p, at_bounds) < 1e-5
 
 
@@ -400,10 +425,13 @@ def test_warm_start_survives_a_coordinate_flip():
     assert warm_kkt < 1e-4
     assert projected_lagrangian_gradient(flipped, start, np.zeros(flipped.m)) > 100 * warm_kkt
 
+    # The warm solve confirms the first exit.  The cold one may climb a
+    # little past it (the first exit stops 2.8e-9 short of sqrt(2) - 1),
+    # but must not fall short of it.
     warm = solve(flipped, start, warm_multipliers)
     cold = solve(flipped, start)
-    for result in (warm, cold):
-        assert correct_radius(flipped.extract_centers(result.point), inst) == pytest.approx(
-            radius, abs=1e-9
-        )
+    assert correct_radius(flipped.extract_centers(warm.point), inst) == pytest.approx(
+        radius, abs=1e-9
+    )
+    assert correct_radius(flipped.extract_centers(cold.point), inst) >= radius - 1e-9
     assert warm.merit_calls < cold.merit_calls
