@@ -6,11 +6,13 @@ This module owns the domain types plus the numeric services everything
 else builds on: the area bound on the common radius, the post-solve
 radius correction, and an independent feasibility verifier.
 
-Correction and verification share one double-precision screen of every
-constraint, under one stated rounding bound.  Only the candidates near
-the extremum are evaluated again, exactly: every double is an integer
-multiple of 2^-1074, so Python integers and math.isqrt decide each check
-with no working precision to choose.  The corrected radius is the exact
+Correction and verification share one double-precision screen of the
+constraints, under one stated rounding bound.  Of the n(n-1)/2 pairs,
+it screens only those whose squared distance is near the smallest, by a
+threshold that drops no pair the exact step would evaluate.  Only the
+candidates near the extremum are evaluated again, exactly: every double
+is an integer multiple of 2^-1074, so Python integers and math.isqrt
+decide each check with no working precision to choose.  The corrected radius is the exact
 minimum clearance rounded down to a double, so a corrected layout is
 feasible at tolerance zero and one ulp more is not; verified violations
 are rounded up, so feasible == (worst() <= tol) at every tolerance.  A
@@ -23,7 +25,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from decimal import ROUND_DOWN, Decimal
+from decimal import ROUND_DOWN, Context, Decimal
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -198,6 +200,9 @@ def as_center_array(centers: Union[np.ndarray, Sequence]) -> np.ndarray:
 # Every finite double is an integer multiple of 2^-1074, the smallest
 # subnormal, so the exact checks count in that unit with Python ints.
 _ONE = 1 << 1074
+# The pair screen's slack and floor (see _screen).
+_SLACK = 2.0**-32
+_FLOOR = 2.0**-500
 
 
 def _units(value: float) -> int:
@@ -218,11 +223,11 @@ def _rounded(units: int, direction: int) -> float:
 
 
 def _screen(x: np.ndarray, y: np.ndarray, fc: np.ndarray, fr: np.ndarray, r: float):
-    """Every candidate's violation at radius r in float64, as an interval.
+    """The candidates' violations at radius r in float64, as intervals.
 
     Returns (low, high, iu, ju).  Candidates are numbered as
     _exact_violation numbers them: each circle's containment
-    |c_i| + r - 1, then each pair (iu, ju), i < j, row-major,
+    |c_i| + r - 1, then each kept pair (iu, ju), i < j, row-major,
     2r - |c_i - c_j|, then each (circle, disk) r + R_f - |c_i - f|.  The
     pairs take O(n^2) float64 memory.
 
@@ -235,10 +240,52 @@ def _screen(x: np.ndarray, y: np.ndarray, fc: np.ndarray, fr: np.ndarray, r: flo
     8 * 2^-1074), leave room for rounding them and for halving them
     (correct_radius halves the pairs'), so the exact violation lies in
     [low, high].  A candidate that overflows gets an end that is not
-    finite, or NaN, and _near_max always keeps it.
+    finite, or NaN, and _near_max always keeps it, once screened.
+
+    Only the pairs near the closest are kept.  Each pair's squared
+    distance q = dx*dx + dy*dy is formed, without hypot, and a pair is
+    kept when q <= T = (max(sqrt(m), F) * (1 + S) + S*r)^2, with m the
+    smallest q, S = _SLACK = 2^-32 and F = _FLOOR = 2^-500.  This drops
+    no pair that _near_max would keep, in either caller.  Let p* be a
+    pair with q = m, which is kept, and d a pair's exact distance.  By
+    the bound above, a pair p has high(p) < low(p*) - 4 * 2^-1074 once
+
+        d(p) (1 - 48u) > d(p*) (1 + 48u) + 192u*r + 48 * 2^-1074,
+
+    a gap that correct_radius's halving and its rounding keep.  The
+    largest lower end of verify_layout's pair slice, and of
+    correct_radius's whole screen, is at least low(p*), so _near_max
+    drops p; and p's own lower end is not the largest, so _near_max
+    keeps the same pairs, in the same order, as it would on all pairs.
+    The inequality holds for every pair with q > T:
+      - Relative slack.  When q >= F^2, q is within 5u of d^2 (a square
+        that underflows adds at most 2^-1074), so q > T gives
+        d(p) > sqrt(T) (1 - 3u), with T within 4u of its exact value.
+        With sqrt(m) >= F, d(p*) <= sqrt(m) (1 + 3u), and the factor
+        1 + S covers the 48u terms and, as S*F > 2^-533, 48 * 2^-1074.
+      - Absolute slack.  S*r covers the 192u*r of the 2r terms.
+      - Floor.  Squares of separations under about 1e-154 lose relative
+        precision, and under about 1e-162 they underflow to 0, so
+        sqrt(m) may fall short of d(p*).  While m < F^2, F stands in for
+        sqrt(m), since d(p*) <= F (1 + 3u); every pair with q <= F^2
+        is kept.
+      - Overflow.  q overflows to inf only when the rounded differences'
+        squared length reaches DBL_MAX, so d(p)^2 >= DBL_MAX (1 - 3u) >=
+        T (1 - 3u) while T is finite, and p may be dropped.  When T
+        overflows to inf, every pair is kept.
     """
-    iu, ju = np.triu_indices(x.size, k=1)
     with np.errstate(over="ignore", invalid="ignore"):
+        q = x[:, None] - x
+        q *= q
+        dy = y[:, None] - y
+        dy *= dy
+        q += dy
+        np.fill_diagonal(q, math.inf)
+        closest = math.sqrt(q.min(initial=math.inf))
+        reach = max(closest, _FLOOR) * (1.0 + _SLACK) + _SLACK * r
+        iu, ju = np.nonzero(q <= reach * reach)  # row-major
+        upper = iu < ju
+        iu, ju = iu[upper], ju[upper]
         wall = np.hypot(x, y)
         dist = np.hypot(x[iu] - x[ju], y[iu] - y[ju])
         gap = np.hypot(x[:, None] - fc[None, :, 0], y[:, None] - fc[None, :, 1])
@@ -367,10 +414,17 @@ def verify_layout(layout: Layout, instance: Instance, tol: float) -> Feasibility
     )
 
 
+# DBL_MAX has 309 digits before the point; the default context's 28 made
+# quantize raise InvalidOperation for every radius from 1e20 up.
+_RADIUS_DIGITS = Context(prec=320)
+
+
 def format_radius(value: float) -> str:
     """Radius as a decimal string with 8 places, truncated toward zero."""
+    exact = Decimal(repr(float(value)))
+    truncated = exact.quantize(Decimal("0.00000001"), rounding=ROUND_DOWN, context=_RADIUS_DIGITS)
     # str() would print quantized zero as 0E-8.
-    return f"{Decimal(repr(float(value))).quantize(Decimal('0.00000001'), rounding=ROUND_DOWN):f}"
+    return f"{truncated:f}"
 
 
 def layout_to_dict(layout: Layout, instance_name: str) -> dict:
@@ -379,18 +433,20 @@ def layout_to_dict(layout: Layout, instance_name: str) -> dict:
         "instance": instance_name,
         "n": layout.n,
         "radius": format_radius(layout.radius),
-        "centers": [[repr(float(x)), repr(float(y))] for x, y in layout.centers],
+        "centers": [[repr(x), repr(y)] for x, y in layout.centers.tolist()],
     }
 
 
-def _decimal(value, where: str) -> float:
-    """A number field of a layout document, as a float."""
+def _decimal(value, where: str, *index: int) -> float:
+    """A number field of a layout document, as a float; the message names
+    the field and, for a coordinate, its indices."""
     try:
         # float() would read a JSON true or false as 1.0 or 0.0.
         if isinstance(value, bool):
             raise TypeError
         return float(value)
     except (TypeError, ValueError, OverflowError):
+        where += "".join(f"[{k}]" for k in index)
         raise LayoutFormatError(f"{where} is not a decimal string: {value!r}") from None
 
 
@@ -412,12 +468,13 @@ def layout_from_dict(doc: dict) -> tuple[Layout, str]:
     radius = _decimal(radius_text, "field 'radius'")
     if not isinstance(raw_centers, list) or len(raw_centers) != n:
         raise LayoutFormatError("field 'centers' must be a list of n [x, y] pairs")
-    centers = np.empty((n, 2), dtype=float)
+    values = []
     for i, pair in enumerate(raw_centers):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise LayoutFormatError(f"centers[{i}] must be an [x, y] pair")
-        for k in range(2):
-            centers[i, k] = _decimal(pair[k], f"centers[{i}][{k}]")
+        values.append(_decimal(pair[0], "centers", i, 0))
+        values.append(_decimal(pair[1], "centers", i, 1))
+    centers = np.array(values, dtype=float).reshape(n, 2)
     if not np.all(np.isfinite(centers)) or not math.isfinite(radius) or radius < 0.0:
         raise LayoutFormatError("layout values must be finite and radius nonnegative")
     return Layout(centers, radius), name

@@ -12,6 +12,8 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsspack import engine
 from fsspack.engine import (
@@ -33,6 +35,7 @@ from fsspack.geometry import (
 )
 from fsspack.instances import builtin_instance
 from fsspack.solver import NUMERICAL_FAILURE
+from strategies import drawn_instances
 
 EMPTY = Instance("empty", [])
 
@@ -251,6 +254,21 @@ def test_minimal_budget_still_works():
     report = run(inst, cfg)
     assert report.nlp_solves == 1
     assert report.best_radius > 0.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(drawn_instances(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_run_returns_a_verified_layout_or_raises(instance, n, seed):
+    # Tangent, overlapping, centre-covering and vacuous disks: whatever
+    # the solves do, run hands back n centres that verify at tolerance
+    # zero, or says it found none.
+    try:
+        report = run(instance, FssConfig(n=n, iterations=2, replications=1, seed=seed))
+    except EngineError:
+        return
+    assert report.best_layout.n == n
+    assert report.best_radius == report.best_layout.radius >= 0.0
+    assert verify_layout(report.best_layout, instance, 0.0).feasible
 
 
 def test_fallback_layout_on_hopeless_geometry():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -29,6 +30,7 @@ from fsspack.geometry import (
     verify_layout,
 )
 from fsspack.instances import builtin_catalogue, builtin_instance
+from strategies import ANGLES, UNIT, drawn_instances, polar_point
 
 EMPTY = Instance("empty", [])
 # Far enough that float64 clearances from it are off by ~1e-10.
@@ -313,43 +315,9 @@ def test_correct_radius_far_prohibited_disk():
     assert not verify_layout(Layout(pts, math.nextafter(r, math.inf)), FAR_DISK, 0.0).feasible
 
 
-ANGLES = st.floats(0.0, 2.0 * math.pi)
-UNIT = st.floats(0.0, 1.0)
-
-
-def polar_point(distance: float, angle: float) -> CartesianPoint:
-    return CartesianPoint(distance * math.cos(angle), distance * math.sin(angle))
-
-
-@st.composite
-def disk_groups(draw):
-    """One or two prohibited disks of a drawn kind."""
-    kind = draw(st.sampled_from(["free", "wall", "covering", "vacuous", "tangent", "overlapping"]))
-    radius = draw(st.floats(1e-6, 0.6))
-    angle = draw(ANGLES)
-    if kind == "free":
-        coords = st.floats(-1.2, 1.2)
-        return [ProhibitedCircle(CartesianPoint(draw(coords), draw(coords)), radius)]
-    if kind == "wall":  # touches the container from inside
-        return [ProhibitedCircle(polar_point(1.0 - radius, angle), radius)]
-    if kind == "covering":  # contains the container's centre
-        return [ProhibitedCircle(polar_point(draw(UNIT) * radius, angle), radius)]
-    if kind == "vacuous":
-        return [ProhibitedCircle(polar_point(1.0 + radius + draw(UNIT), angle), radius)]
-    # Two disks, touching or overlapping.
-    first = ProhibitedCircle(polar_point(draw(UNIT), angle), radius)
-    other = draw(st.floats(1e-6, 0.6))
-    reach = radius + other
-    if kind == "overlapping":
-        reach *= draw(st.floats(0.0, 1.0, exclude_max=True))
-    c = polar_point(reach, draw(ANGLES))
-    return [first, ProhibitedCircle(CartesianPoint(first.center.x + c.x, first.center.y + c.y), other)]
-
-
 @st.composite
 def packing_cases(draw):
-    groups = draw(st.lists(disk_groups(), max_size=2))
-    instance = Instance("drawn", [disk for group in groups for disk in group])
+    instance = draw(drawn_instances())
     centers = draw(
         st.lists(
             st.builds(polar_point, UNIT, ANGLES),
@@ -596,13 +564,44 @@ def _oracle_cases():
     yield "subnormal", np.array([[5e-324, 0.0], [0.0, -1e-320], [1.5e-323, 2e-323], [-3e-310, 4e-310]]), EMPTY
     yield "subnormal-far-disk", np.array([[5e-324, 0.0], [0.0, 1e-320]]), FAR_DISK
     yield "huge", np.array([[1e300, 0.0], [-1e300, 3e299], [0.25, -0.5], [7e299, 7e299]]), FAR_DISK
+    # The pair prefilter keeps a pair by its squared distance.  In an
+    # unjittered lattice nearly every squared distance ties another
+    # exactly: here the 510 nearest pairs fall in groups of up to 170
+    # exact ties, all within 1.4e-11 of each other.  Coincident centres
+    # make the closest distance 0.
+    wide = _exact_hex_lattice(2.0**-4, 0.45)
+    yield "hex-ties-wide", wide, EMPTY
+    yield "hex-ties-coincident", np.vstack((wide[::7], wide[::21])), EMPTY
+    # Squares of separations near 1e-154 are subnormal and keep few bits;
+    # near 1e-162 they underflow.  (0, 1) is 2.22e-162 apart and squares
+    # to 0; (2, 3) is closer, 2.2e-162, but squares to 5e-324.
+    yield "separation-1e-154", 1e-154 * rng.uniform(-3.0, 3.0, size=(12, 2)), EMPTY
+    yield "separation-1e-162", np.array(
+        [[0.0, 0.0], [1.57e-162, 1.57e-162], [3e-150, 0.0], [3e-150 + 2.2e-162, 0.0]]
+    ), EMPTY
+    # Near sqrt(DBL_MAX) = 1.34e154, dx*dx overflows: some squares are
+    # inf, some just below DBL_MAX, and where the closest pair's is the
+    # latter, the prefilter's threshold overflows too.
+    edge = math.sqrt(sys.float_info.max)
+    yield "overflowing-squares", np.array(
+        [[edge, 0.0], [-edge, 0.0], [0.0, edge], [0.5 * edge, -0.5 * edge], [0.1, 0.0], [0.0, 0.2]]
+    ), EMPTY
+    yield "overflowing-threshold", np.array([[0.0, 0.0], [edge, 0.0], [-edge, 0.0], [0.0, -edge]]), EMPTY
+    # Subnormal separations, for the screen's absolute term 8 * 2^-1074:
+    # (0, 1) is sqrt(113) = 10.63 steps of 2^-1074 apart, and hypot rounds
+    # it to 11; (2, 3) is sqrt(104) = 10.20 and rounds to 10.  Rounded
+    # up, both violations tie, so (0, 1) is the first maximum.
+    step = math.ulp(0.0)
+    yield "subnormal-ties", step * np.array([[0.0, 0.0], [7.0, 8.0], [1000.0, 0.0], [1010.0, 2.0]]), EMPTY
 
 
 def test_screened_checks_match_the_reference():
     for label, pts, inst in _oracle_cases():
         r = correct_radius(pts, inst)
         assert r == _reference_correct(pts, inst), label
-        for radius in (r, math.nextafter(r, math.inf), r + 1e-9):
+        # At 1e16, every pair's rounded violation ties at 2e16 or so, and
+        # the first pair in loop order is the worst.
+        for radius in (r, math.nextafter(r, math.inf), r + 1e-9, 1e16):
             lay = Layout(pts, radius)
             rep = verify_layout(lay, inst, 0.0)
             assert rep == _reference_verify(lay, inst, 0.0), (label, radius)
@@ -619,6 +618,14 @@ def test_format_radius_truncates():
     assert format_radius(0.1) == "0.10000000"
     assert format_radius(0.999999999) == "0.99999999"
     assert format_radius(0.0) == "0.00000000"
+    assert format_radius(5e-324) == "0.00000000"
+    # The default decimal context holds 28 digits, so quantizing to 8
+    # places raised InvalidOperation from 1e20 up.
+    assert format_radius(9.99e19) == "99900000000000000000.00000000"
+    assert format_radius(1e20) == "100000000000000000000.00000000"
+    text = format_radius(sys.float_info.max)
+    assert text == "17976931348623157" + "0" * 292 + ".00000000"  # repr's 17 digits
+    assert float(text) == sys.float_info.max
 
 
 def test_layout_file_round_trip(tmp_path):
@@ -635,6 +642,9 @@ def test_layout_file_round_trip(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["radius"] == "0.20710678"
     assert doc["n"] == 2
+    save_layout(Layout(lay.centers, 1e20), "problem2", path)
+    assert load_layout(path)[0].radius == 1e20
+    assert json.loads(path.read_text())["radius"] == "100000000000000000000.00000000"
 
 
 def test_load_layout_rejects_bad_files(tmp_path):
