@@ -1,8 +1,8 @@
 """How one search iteration poses its program.
 
-Each circle is assigned Cartesian or polar coordinates; Cartesian ones
-are boxed near their current centre, and pairs that provably cannot
-collide under those boxes are dropped before the solve.
+Each circle is boxed near its current centre or left free; pairs of
+boxed circles that provably cannot collide under their boxes are dropped
+before the solve.  Every circle keeps Cartesian (x, y).
 """
 
 from collections import Counter
@@ -33,18 +33,18 @@ def main() -> None:
 
     r_cap = radius_upper_bound(instance, n)
     delta = DELTA_FACTOR * r_cap
-    # True marks a polar circle: circles 1, 3 and 5 here.
-    polar = np.arange(n) % 2 == 1
+    # True marks a free (unboxed) circle: circles 1, 3 and 5 here.
+    free = np.arange(n) % 2 == 1
     print(f"instance {instance.name}: {instance.f_count} prohibited disks, "
           f"radius cap {r_cap:.6f}, box half-width {delta:.6f}")
 
-    circle_pairs, clearances = prune_pairs(current, polar, delta, r_cap, instance)
+    circle_pairs, clearances = prune_pairs(current, free, delta, r_cap, instance)
     total_circle = n * (n - 1) // 2
     total_proh = n * instance.f_count
     print(f"pairs kept: {len(circle_pairs)}/{total_circle} circle, "
           f"{len(clearances)}/{total_proh} prohibited")
 
-    problem = build_nlp(instance, polar, current, delta, (circle_pairs, clearances), r_cap)
+    problem = build_nlp(instance, free, current, delta, (circle_pairs, clearances), r_cap)
     print(f"variables: {problem.nv} (radius + two per circle)")
     print("constraint rows by family:")
     counts = Counter(problem.row_tag(row)[0] for row in range(problem.m))
@@ -58,7 +58,7 @@ def main() -> None:
 
     # A tighter box prunes more aggressively.
     for factor in (1.0, 0.25, 0.05):
-        kept_pairs, kept_clear = prune_pairs(current, polar, factor * delta, r_cap, instance)
+        kept_pairs, kept_clear = prune_pairs(current, free, factor * delta, r_cap, instance)
         print(f"delta x {factor:4.2f}: keeps {len(kept_pairs)} circle pairs, "
               f"{len(kept_clear)} prohibited pairs")
 

@@ -1,8 +1,8 @@
 """Equal-circle packing in the unit disk with prohibited areas.
 
 A formulation space search drives repeated local solves of a smooth
-inequality program, randomly re-posing the coordinates (Cartesian or
-polar) of every circle between solves.  Corrected radii are exact: the
+inequality program, randomly re-posing every circle between solves as
+boxed near its centre or free.  Corrected radii are exact: the
 post-solve correction works in integer arithmetic and rounds down, so
 any reported layout verifies feasible at tolerance zero.
 """

@@ -45,7 +45,8 @@ def _parse_n_list(text: str) -> list[int]:
     out = []
     for part in text.split(","):
         part = part.strip()
-        if not part.isdigit() or int(part) < 1:
+        # isdigit() also accepts digits such as '²' that int() rejects.
+        if not part.isdecimal() or int(part) < 1:
             raise _CliError(f"--n expects positive integers, got {text!r}", USAGE_ERROR)
         out.append(int(part))
     if not out:
@@ -79,7 +80,7 @@ def _write(save, path, kind: str) -> None:
 
 def _resolve_problem(token: str, f_count: int | None) -> tuple[Instance, str, int | None]:
     """Returns (instance, problem label, f_count for reporting)."""
-    if token.isdigit():
+    if token.isdecimal():
         pid = int(token)
         try:
             instance = builtin_instance(pid, f_count)

@@ -1,10 +1,12 @@
 """Formulation space search driver.
 
-Every iteration re-poses the problem before solving it again: each circle
-is randomly flipped between Cartesian and polar coordinates, and the
-Cartesian centres are only allowed to move inside a box whose half-width
-is DELTA_FACTOR times the last corrected radius, or times the radius cap
-while that is still 0.  The solver's point is
+Every iteration re-poses the problem before solving it again: a coin per
+circle makes it boxed or free.  A boxed centre may only move inside a
+box whose half-width is DELTA_FACTOR times the last corrected radius, or
+times the radius cap while that is still 0; a free centre is unbounded,
+and every pair it touches is kept.  The paper flips each circle between
+Cartesian and polar coordinates instead; here the coin changes only the
+bounds and the pruning (see fsspack.formulation).  The solver's point is
 adopted whether or not it improved, so the search keeps drifting through
 formulation space; the corrected radius decides what counts as the best
 layout seen.
@@ -13,8 +15,8 @@ Each solve starts warm from the last one: from its centres, its
 corrected radius and the multipliers it accepted at exit.  The solver's
 penalty is not carried; it restarts at its initial value.  Multipliers
 are carried by row identity (NlpProblem.row_ids), as they are: a row is
-the same function of the centres whichever coordinates its circles use,
-so its multiplier does not depend on the posing.  A row that was pruned
+the same function of the centres whichever circles are boxed, so its
+multiplier does not depend on the posing.  A row that was pruned
 away in between starts at 0.
 
 The carried multipliers are zero before the first solve.  They are reset
@@ -54,7 +56,7 @@ from .solver import NUMERICAL_FAILURE, load_optimizer, solve
 
 _MASK64 = (1 << 64) - 1
 
-# Half-width of the box each Cartesian centre may move in, as a fraction
+# Half-width of the box each boxed centre may move in, as a fraction
 # of the last corrected radius (of the radius upper bound before the first
 # solve, and while the corrected radius is 0).
 DELTA_FACTOR = 2.0 / 3.0
@@ -87,7 +89,7 @@ class IterationTrace:
     r_star: float
     r_best: float
     delta: float
-    cart_count: int
+    boxed_count: int
     status: str
     outer_rounds: int
     merit_calls: int
@@ -128,8 +130,8 @@ def random_initial_layout(rng: np.random.Generator, n: int) -> Layout:
 
 
 def random_assignment(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Independent coin per circle, as a polar mask: True (polar) for a
-    draw above 0.5, so a draw of 0.5 or less goes Cartesian."""
+    """Independent coin per circle, as a free mask: True (free) for a
+    draw above 0.5, so a draw of 0.5 or less is boxed."""
     return rng.random(n) > 0.5
 
 
@@ -140,7 +142,7 @@ def run_replication(
     n = config.n
     r_cap = radius_upper_bound(instance, n)
     current = random_initial_layout(rng, n)
-    polar = random_assignment(rng, n)
+    free = random_assignment(rng, n)
     best = current
     traces: list[IterationTrace] = []
     # The last solve's multipliers, indexed by row id.
@@ -148,11 +150,11 @@ def run_replication(
 
     for t in range(config.iterations):
         tic = time.perf_counter()
-        # A box of DELTA_FACTOR * radius would freeze every Cartesian
+        # A box of DELTA_FACTOR * radius would freeze every boxed
         # centre while the radius is 0, as at the start: use the cap.
         delta = DELTA_FACTOR * (current.radius if current.radius > 0.0 else r_cap)
-        pairs = prune_pairs(current, polar, delta, r_cap, instance)
-        problem = build_nlp(instance, polar, current, delta, pairs, r_cap)
+        pairs = prune_pairs(current, free, delta, r_cap, instance)
+        problem = build_nlp(instance, free, current, delta, pairs, r_cap)
         start = problem.pack_start(current.centers, current.radius)
         result = solve(problem, start, carried[problem.row_ids])
 
@@ -174,14 +176,14 @@ def run_replication(
                 r_star=r_star,
                 r_best=best.radius,
                 delta=delta,
-                cart_count=n - int(np.count_nonzero(polar)),
+                boxed_count=n - int(np.count_nonzero(free)),
                 status=result.status,
                 outer_rounds=result.outer_iterations,
                 merit_calls=result.merit_calls,
                 elapsed=time.perf_counter() - tic,
             )
         )
-        polar = random_assignment(rng, n)
+        free = random_assignment(rng, n)
 
     return best, traces
 

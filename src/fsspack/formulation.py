@@ -1,53 +1,51 @@
 """Assembly and evaluation of the per-iteration packing program.
 
-One search iteration fixes which circles use Cartesian coordinates and
-which use polar, limits how far each Cartesian centre may move, prunes
-pairs that provably cannot collide, and hands the solver a smooth
-inequality program in the canonical orientation g(z) >= 0.  The
-structure stays in arrays throughout: the coordinate choice is a bool
-mask, True where a circle is polar, and prune_pairs returns the kept
-circle pairs and (circle, disk) clearances as (q, 2) and (c, 2) index
-arrays, which build_nlp takes as they are.
+One search iteration fixes which circles are boxed and which are free,
+limits how far each boxed centre may move, prunes pairs that provably
+cannot collide, and hands the solver a smooth inequality program in the
+canonical orientation g(z) >= 0.  The structure stays in arrays
+throughout: the choice is a bool mask, True where a circle is free, and
+prune_pairs returns the kept circle pairs and (circle, disk) clearances
+as (q, 2) and (c, 2) index arrays, which build_nlp takes as they are.
 
-Variable layout: the common radius first, then (x, y) per Cartesian
-circle in index order, then (r, theta) per polar circle in index order.
-Slot k of that circle order owns variables 1 + 2k and 2 + 2k.  The
-bounds are exactly those prune_pairs relies on: R in [0, r_cap] and each
-Cartesian centre in its movement box c +- delta, even past the container,
-which the containment rows hold.  Polar (r, theta) are unbounded; r < 0
-is the point r e^{i theta}.  So the nonlinear constraints are exactly
-three families: containment in the unit disk, separation of circle
-pairs, and clearance from prohibited disks.
+The mask descends from the source paper, which poses each circle in
+Cartesian or polar coordinates.  Here every circle keeps Cartesian
+(x, y), and a circle the paper would pose in polar is free: it has no
+box.  Variable layout: the common radius first, then (x, y) of circle i
+at 1 + 2i and 2 + 2i.  The bounds are exactly those prune_pairs relies
+on: R in [0, r_cap], each boxed centre in its movement box c +- delta,
+even past the container, which the containment rows hold, and a free
+centre unbounded.  The mask changes the bounds and the pruning and
+nothing else.  The nonlinear constraints are exactly three families:
+containment in the unit disk, separation of circle pairs, and clearance
+from prohibited disks.
 
-The coordinate choice is a change of variables and nothing more.  Each
-evaluation builds one complex point array: the n slot centres, x + iy
-for Cartesian slots and r e^{i theta} for polar ones, then the origin,
-then the centre of the disk of each clearance row.  Every row is then a
-single form over two entries a and b of that array:
+Each evaluation views the variables as one complex point array: the n
+centres x + iy, then the origin, then the centre of the disk of each
+clearance row.  Every row is then a single form over two entries a and
+b of that array:
 
     g = sign * (|p_a - p_b|^2 - (alpha + beta*R)^2)
 
     containment   b = origin   alpha = 1    beta = -1  sign = -1
-    separation    b = slot     alpha = 0    beta = 2   sign = +1
+    separation    b = circle   alpha = 0    beta = 2   sign = +1
     clearance     b = disk     alpha = r_f  beta = 1   sign = +1
 
-so one gather d = p_a - p_b serves every row's value and derivatives,
-and a row is the same function of the centres in every posing.  The
-weighted partials 2*sign*w*d are summed per slot by one np.bincount
-over interleaved (x, y) targets, end a with its weight and end b (a slot
-only in separation rows) with the weight negated, straight into the
-variable layout.  A polar slot's sum g = (gx, gy) is then pulled back to
-(Re(g e^{-i theta}), r Im(g e^{-i theta})).
+so one gather d = p_a - p_b serves every row's value and derivatives.
+The weighted partials 2*sign*w*d are summed per circle by one
+np.bincount over interleaved (x, y) targets, end a with its weight and
+end b (a circle only in separation rows) with the weight negated,
+straight into the variable layout.
 
 Every row also has an identity that outlives the program: row_ids
 numbers containment of circle i as i, the pair {i, j} (i < j) as
 n + i*n + j, and clearance of circle i from disk f as n + n^2 + i*k + f,
 with k prohibited disks.  Rows of two programs for the same n and
 instance that share an id are the same function of the centres,
-whatever the coordinate choice or pruning, so a multiplier carries
-from one to the other as it is.  The ids are all the program keeps of
-which circles a row joins: NlpProblem.row_tag decodes one into the
-row's family and circles, for diagnostics.
+whatever the mask or pruning, so a multiplier carries from one to the
+other as it is.  The ids are all the program keeps of which circles a
+row joins: NlpProblem.row_tag decodes one into the row's family and
+circles, for diagnostics.
 
 Finiteness is checked once per use.  constraint_values raises
 EvaluationError naming the family and circles of the first non-finite
@@ -81,109 +79,96 @@ class EvaluationError(RuntimeError):
     """Raised when a constraint evaluates to a non-finite value."""
 
 
-def _check_inputs(polar: np.ndarray, n: int, delta: float, r_cap: float) -> np.ndarray:
-    """The polar mask as an array, after checking it and the box sizes.
+def _check_inputs(free: np.ndarray, n: int, delta: float, r_cap: float) -> np.ndarray:
+    """The free mask as an array, after checking it and the box sizes.
 
     An integer array would index circles instead of masking them, so the
     mask must be bool, one entry per circle.  NaN fails every comparison,
     so the box sizes are tested by what they must be.
     """
-    polar = np.asarray(polar)
-    if polar.dtype != bool or polar.shape != (n,):
+    free = np.asarray(free)
+    if free.dtype != bool or free.shape != (n,):
         raise ValueError(
-            f"polar must be a bool mask of shape ({n},), got {polar.dtype} of shape {polar.shape}"
+            f"free must be a bool mask of shape ({n},), got {free.dtype} of shape {free.shape}"
         )
     if not delta >= 0.0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
     if not r_cap >= 0.0:
         raise ValueError(f"r_cap must be nonnegative, got {r_cap}")
-    return polar
+    return free
 
 
 def prune_pairs(
     current: Layout,
-    polar: np.ndarray,
+    free: np.ndarray,
     delta: float,
     r_cap: float,
     instance: Instance,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Drop pairs that cannot collide under the movement limits.
 
-    A Cartesian centre moves at most sqrt(2)*delta from its box centre,
-    so a Cartesian pair further apart than 2*r_cap + 2*sqrt(2)*delta can
-    never touch, and a Cartesian circle further than r_cap + R_f +
-    sqrt(2)*delta from a prohibited disk can never reach it.  Polar
-    circles (True in the mask) are unboxed, so every pair touching one is
-    kept.
+    A boxed centre moves at most sqrt(2)*delta from its box centre, so a
+    boxed pair further apart than 2*r_cap + 2*sqrt(2)*delta can never
+    touch, and a boxed circle further than r_cap + R_f + sqrt(2)*delta
+    from a prohibited disk can never reach it.  Free circles (True in the
+    mask) are unboxed, so every pair touching one is kept.
 
     Returns the kept circle pairs (i, j), i < j, in np.triu_indices order,
     and the kept clearances (circle, disk) in row-major order, as intp
     arrays of shape (q, 2) and (c, 2).
     """
     pts = current.centers
-    in_cart = ~_check_inputs(polar, pts.shape[0], delta, r_cap)
+    boxed = ~_check_inputs(free, pts.shape[0], delta, r_cap)
     iu, ju = np.triu_indices(pts.shape[0], k=1)
     dist = np.hypot(pts[iu, 0] - pts[ju, 0], pts[iu, 1] - pts[ju, 1])
-    prunable = in_cart[iu] & in_cart[ju] & (dist - 2.0 * ROOT2 * delta >= 2.0 * r_cap)
+    prunable = boxed[iu] & boxed[ju] & (dist - 2.0 * ROOT2 * delta >= 2.0 * r_cap)
     circle_pairs = np.column_stack((iu[~prunable], ju[~prunable]))
 
     fc = instance.prohibited_centers()
     d = np.hypot(pts[:, None, 0] - fc[None, :, 0], pts[:, None, 1] - fc[None, :, 1])
-    prunable = in_cart[:, None] & (d - ROOT2 * delta >= r_cap + instance.prohibited_radii())
+    prunable = boxed[:, None] & (d - ROOT2 * delta >= r_cap + instance.prohibited_radii())
     return circle_pairs, np.argwhere(~prunable)
 
 
 class NlpProblem:
     """One smooth inequality program: maximise the common radius.
 
-    Built by build_nlp.  Public data: n, nv, m, lower, upper, polar (the
-    bool mask, True where a circle is polar), row_ids (see row_tag),
-    var_a, var_b (index of each circle's first and second variable).
-    Rows come in family order: containment for every circle in slot
-    order, then one separation row per retained circle pair, then one
-    clearance row per retained (circle, prohibited disk) pair.
+    Built by build_nlp.  Public data: n, nv, m, lower, upper, row_ids (see
+    row_tag).  Rows come in family order: containment for every circle in
+    index order, then one separation row per retained circle pair, then
+    one clearance row per retained (circle, prohibited disk) pair.
     """
 
     def __init__(
         self,
         instance: Instance,
-        polar: np.ndarray,
         lower: np.ndarray,
         upper: np.ndarray,
         circle_pairs: np.ndarray,
         clearances: np.ndarray,
     ) -> None:
-        self.polar = polar
         self.lower = lower
         self.upper = upper
-        self.n = n = len(polar)
-        self.nv = 2 * n + 1
+        self.nv = len(lower)
+        self.n = n = self.nv // 2
         self._k = k = instance.f_count
-        self._nc = n - int(np.count_nonzero(polar))
-        self._order = np.concatenate((np.flatnonzero(~polar), np.flatnonzero(polar)))
-        slot = np.empty(n, dtype=np.intp)
-        slot[self._order] = np.arange(n)
-        self.var_a = 1 + 2 * slot
-        self.var_b = 2 + 2 * slot
 
         # Row ids as the module docstring numbers them; row_tag decodes them.
         circle, f = clearances.T
         low, high = np.sort(circle_pairs, axis=1).T
         self.row_ids = np.concatenate(
-            (self._order, n + low * n + high, n + n * n + circle * k + f)
+            (np.arange(n), n + low * n + high, n + n * n + circle * k + f)
         )
         self.m = m = len(self.row_ids)
 
-        # The point array after the n slot centres: the origin, then the
-        # disk of each clearance row, as interleaved (x, y).
+        # The point array after the n centres: the origin, then the disk of
+        # each clearance row, as interleaved (x, y).
         self._fixed = np.concatenate(([0.0, 0.0], instance.prohibited_centers()[f].ravel()))
 
         # Ends a and b of every row, and its alpha, beta and sign.
         q = len(circle_pairs)
-        self._ia = np.concatenate((np.arange(n), slot[circle_pairs[:, 0]], slot[circle]))
-        self._ib = np.concatenate(
-            (np.full(n, n), slot[circle_pairs[:, 1]], n + 1 + np.arange(m - n - q))
-        )
+        self._ia = np.concatenate((np.arange(n), circle_pairs[:, 0], circle))
+        self._ib = np.concatenate((np.full(n, n), circle_pairs[:, 1], n + 1 + np.arange(m - n - q)))
         self._alpha = np.concatenate((np.ones(n), np.zeros(q), instance.prohibited_radii()[f]))
         self._beta = np.concatenate((np.full(n, -1.0), np.full(q, 2.0), np.ones(m - n - q)))
         self._sign = np.concatenate((np.full(n, -1.0), np.ones(m - n)))
@@ -193,25 +178,17 @@ class NlpProblem:
 
         # Scatter targets of the interleaved row partials: (x, y) of end a
         # for every row, then of end b for the pair rows, the only rows
-        # whose end b is a slot.  Offset by one for the radius.
+        # whose end b is a circle.  Offset by one for the radius.
         self._pair_part = slice(2 * n, 2 * (n + q))
         ends = np.concatenate((self._ia, self._ib[n : n + q]))
         self._scatter = np.column_stack((1 + 2 * ends, 2 + 2 * ends)).ravel()
 
     # -- evaluation -----------------------------------------------------
 
-    def _points(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The complex point array at z, and e^{i theta} per polar slot."""
-        n, nc = self.n, self._nc
+    def _rows(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per row d = p_a - p_b and alpha + beta*R."""
         pts = np.concatenate((z[1:], self._fixed)).view(complex)
-        turn = np.exp(1j * z[2 + 2 * nc :: 2])
-        pts[nc:n] = z[1 + 2 * nc :: 2] * turn
-        return pts, turn
-
-    def _rows(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per row d = p_a - p_b and alpha + beta*R, and the polar turns."""
-        pts, turn = self._points(z)
-        return pts[self._ia] - pts[self._ib], self._alpha + self._beta * z[0], turn
+        return pts[self._ia] - pts[self._ib], self._alpha + self._beta * z[0]
 
     def _values(self, d: np.ndarray, rad: np.ndarray) -> np.ndarray:
         return self._sign * ((d * d.conj()).real - rad * rad)
@@ -224,29 +201,13 @@ class NlpProblem:
         flat = partials.view(float)
         return np.concatenate((flat, -flat[self._pair_part]))
 
-    def _pull_back(self, out: np.ndarray, turn: np.ndarray, z: np.ndarray) -> None:
-        """Turn Cartesian partials into variable partials, in place.
-
-        The last axis of out has the variable layout.  A polar slot's
-        partial g = (gx, gy) by its centre becomes (Re(g e^{-i theta}),
-        r Im(g e^{-i theta})) by (r, theta); Cartesian slots map by the
-        identity.
-        """
-        nc = self._nc
-        rotated = out[..., 1 + 2 * nc :].view(complex) * turn.conj()
-        out[..., 1 + 2 * nc :: 2] = rotated.real
-        out[..., 2 + 2 * nc :: 2] = z[1 + 2 * nc :: 2] * rotated.imag
-
-    def _gradient(
-        self, z: np.ndarray, d: np.ndarray, rad: np.ndarray, turn: np.ndarray, weights: np.ndarray
-    ) -> np.ndarray:
+    def _gradient(self, d: np.ndarray, rad: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Gradient of -R - weights @ g, from the gathered rows at z."""
         # bincount of nothing (n = 0) is an integer array.
         grad = np.bincount(
             self._scatter, weights=self._spread((weights * self._pull) * d), minlength=self.nv
         ).astype(float, copy=False)
         grad[0] = -1.0 - weights @ (self._radius_slope * rad)
-        self._pull_back(grad, turn, z)
         return grad
 
     def row_tag(self, row: int) -> tuple[str, tuple[int, ...]]:
@@ -271,20 +232,18 @@ class NlpProblem:
 
     def constraint_values(self, z: np.ndarray) -> np.ndarray:
         """All constraint values g(z) in canonical order."""
-        d, rad, _ = self._rows(z)
-        values = self._values(d, rad)
+        values = self._values(*self._rows(z))
         self._require_finite(np.isfinite(values), "value")
         return values
 
     def jacobian(self, z: np.ndarray) -> np.ndarray:
         """Dense constraint jacobian, rows in canonical order."""
-        d, rad, turn = self._rows(z)
+        d, rad = self._rows(z)
         out = np.zeros((self.m, self.nv), dtype=float)
         out[:, 0] = self._radius_slope * rad
         rows = np.repeat(np.arange(self.m), 2)
         rows = np.concatenate((rows, rows[self._pair_part]))
         out[rows, self._scatter] = self._spread(-self._pull * d)
-        self._pull_back(out, turn, z)
         self._require_finite(np.isfinite(out).all(axis=1), "derivative")
         return out
 
@@ -298,21 +257,21 @@ class NlpProblem:
 
         Nothing here checks finiteness: the caller's one check of the
         value and gradient is enough.  R enters the value directly.  A
-        non-finite coordinate, or a polar r whose square overflows, makes
+        non-finite coordinate, or a free one whose square overflows, makes
         its containment row infinite or NaN, and w = max(0, lambda -
         rho*g) carries that into the value as +inf or NaN.
         tests/test_formulation.py::test_non_finite_variable_reaches_merit
         tries every variable.
         """
-        d, rad, turn = self._rows(z)
+        d, rad = self._rows(z)
         w = multipliers - penalty * self._values(d, rad)
         np.maximum(w, 0.0, out=w)
         value = -z[0] + (w @ w - multipliers @ multipliers) / (2.0 * penalty)
-        return float(value), self._gradient(z, d, rad, turn, w)
+        return float(value), self._gradient(d, rad, w)
 
     def lagrangian_gradient(self, z: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
         """Gradient of -R - multipliers @ g at z."""
-        return self._gradient(z, *self._rows(z), multipliers)
+        return self._gradient(*self._rows(z), multipliers)
 
     def linear_violations(self, z: np.ndarray) -> np.ndarray:
         """Signed violations in distance units, canonical order.
@@ -320,8 +279,7 @@ class NlpProblem:
         Positive means violated; this matches the verifier's semantics,
         unlike the raw squared constraint values.
         """
-        d, rad, _ = self._rows(z)
-        return self._violations(d, rad)
+        return self._violations(*self._rows(z))
 
     def outer_update(
         self, z: np.ndarray, multipliers: np.ndarray, penalty: float
@@ -333,34 +291,27 @@ class NlpProblem:
         at them: bit for bit what constraint_values, linear_violations
         and lagrangian_gradient give, with constraint_values' check.
         """
-        d, rad, turn = self._rows(z)
+        d, rad = self._rows(z)
         values = self._values(d, rad)
         self._require_finite(np.isfinite(values), "value")
         candidate = np.maximum(0.0, multipliers - penalty * values)
-        gradient = self._gradient(z, d, rad, turn, candidate)
+        gradient = self._gradient(d, rad, candidate)
         return values, self._violations(d, rad), candidate, gradient
 
     # -- layout glue ----------------------------------------------------
 
     def pack_start(self, centers: np.ndarray, radius: float) -> np.ndarray:
-        """Start vector from Cartesian centres plus a radius guess; a polar
-        slot starts at (|c|, arctan2(y, x)), with no wrap."""
-        z = np.concatenate(([radius], centers[self._order].ravel()))
-        x, y = z[1 + 2 * self._nc :: 2], z[2 + 2 * self._nc :: 2]
-        x[:], y[:] = np.hypot(x, y), np.arctan2(y, x)
-        return z
+        """Start vector from the centres plus a radius guess."""
+        return np.concatenate(([radius], centers.ravel()))
 
     def extract_centers(self, z: np.ndarray) -> np.ndarray:
-        """Cartesian centres of all circles at the point z."""
-        pts, _ = self._points(z)
-        out = np.empty((self.n, 2), dtype=float)
-        out[self._order] = pts[: self.n].view(float).reshape(-1, 2)
-        return out
+        """The centres of all circles at the point z."""
+        return z[1:].reshape(self.n, 2).copy()
 
 
 def build_nlp(
     instance: Instance,
-    polar: np.ndarray,
+    free: np.ndarray,
     current: Layout,
     delta: float,
     pairs: tuple[np.ndarray, np.ndarray],
@@ -368,14 +319,14 @@ def build_nlp(
 ) -> NlpProblem:
     """Assemble the program for one solve.
 
-    polar is the bool mask of polar circles.  R is bounded to [0, r_cap]
-    and each Cartesian centre c to the box c +- delta; polar (r, theta)
-    are unbounded.  pairs holds the retained circle pairs and (circle,
-    disk) clearances, as prune_pairs returns them; they decide which
-    separation and clearance constraints appear.
+    free is the bool mask of unboxed circles.  R is bounded to [0, r_cap],
+    each boxed centre c to the box c +- delta, and a free centre not at
+    all.  pairs holds the retained circle pairs and (circle, disk)
+    clearances, as prune_pairs returns them; they decide which separation
+    and clearance constraints appear.
     """
     n = current.centers.shape[0]
-    polar = _check_inputs(polar, n, delta, r_cap)
+    free = _check_inputs(free, n, delta, r_cap)
     circle_pairs, clearances = (np.asarray(p, dtype=np.intp).reshape(-1, 2) for p in pairs)
     i, j = circle_pairs.T
     bad = (np.minimum(i, j) < 0) | (np.maximum(i, j) >= n) | (i == j)
@@ -388,12 +339,9 @@ def build_nlp(
         i, f = clearances[np.argmax(bad)]
         raise ValueError(f"pair ({i}, {f}) references an unknown circle or disk")
 
-    # Bounds in the variable layout: R, then (x, y) per Cartesian slot,
-    # then (r, theta) per polar slot, left unbounded.
-    boxed = current.centers[~polar].ravel()
-    lower = np.full(2 * n + 1, -np.inf)
-    upper = np.full(2 * n + 1, np.inf)
-    lower[0], upper[0] = 0.0, r_cap
-    lower[1 : 1 + len(boxed)] = boxed - delta
-    upper[1 : 1 + len(boxed)] = boxed + delta
-    return NlpProblem(instance, polar, lower, upper, circle_pairs, clearances)
+    # Bounds in the variable layout: R, then (x, y) per circle.
+    centers = current.centers.ravel()
+    half_width = np.where(np.repeat(free, 2), np.inf, delta)
+    lower = np.concatenate(([0.0], centers - half_width))
+    upper = np.concatenate(([r_cap], centers + half_width))
+    return NlpProblem(instance, lower, upper, circle_pairs, clearances)

@@ -90,6 +90,9 @@ def test_run_usage_errors(tmp_path, capsys):
     assert run_cli("run", "--problem", "2", "--fcount", "5", "--n", "2", "--out", out, *BUDGET) == 2
     assert run_cli("run", "--problem", "2", "--n", "0", "--out", out, *BUDGET) == 2
     assert run_cli("run", "--problem", "2", "--n", "2,x", "--out", out, *BUDGET) == 2
+    # '²'.isdigit() holds, but int('²') raises: both must be usage errors.
+    assert run_cli("run", "--problem", "2", "--n", "²", "--out", out, *BUDGET) == 2
+    assert run_cli("run", "--problem", "²", "--n", "2", "--out", out, *BUDGET) == 2
     assert run_cli("run", "--problem", str(tmp_path / "nope.json"), "--n", "2", "--out", out, *BUDGET) == 2
     assert run_cli("run", "--problem", str(tmp_path), "--n", "2", "--out", out, *BUDGET) == 2
     capsys.readouterr()

@@ -85,9 +85,9 @@ def test_initial_layout_draw_order():
 
 
 def test_assignment_boundary_is_cartesian():
-    polar = random_assignment(StubRng([0.5, 0.5000000001, 0.0, 0.7]), 4)
-    assert polar.dtype == bool
-    assert polar.tolist() == [False, True, False, True]
+    free = random_assignment(StubRng([0.5, 0.5000000001, 0.0, 0.7]), 4)
+    assert free.dtype == bool
+    assert free.tolist() == [False, True, False, True]
 
 
 def test_assignment_is_roughly_balanced():
@@ -127,7 +127,7 @@ def test_replication_traces_are_coherent():
         best_so_far = max(best_so_far, t.r_star)
         assert t.r_best == best_so_far
         assert t.r_star <= r_cap + 1e-12
-        assert 0 <= t.cart_count <= 3
+        assert 0 <= t.boxed_count <= 3
         assert t.elapsed >= 0.0
     # The first trace records the starting box half-width; later ones
     # shrink it from the previous corrected radius.

@@ -1,4 +1,4 @@
-"""Polar masks, pair pruning, and the assembled nonlinear program."""
+"""Free masks, pair pruning, and the assembled nonlinear program."""
 
 import math
 
@@ -23,10 +23,11 @@ def disk(x, y, r):
     return ProhibitedCircle(CartesianPoint(x, y), r)
 
 
-def mask(n, *polar):
-    # Polar mask of n circles, True at the given indices.
+def mask(n, *free):
+    # Free mask of n circles, True at the given indices.  In test names,
+    # "polar" is the paper's name for a free circle, "cart" for a boxed one.
     out = np.zeros(n, dtype=bool)
-    out[list(polar)] = True
+    out[list(free)] = True
     return out
 
 
@@ -43,7 +44,7 @@ def all_pairs(n, k):
     return np.column_stack(np.triu_indices(n, k=1)), np.indices((n, k)).reshape(2, -1).T
 
 
-# --- polar mask ------------------------------------------------------------
+# --- free mask -------------------------------------------------------------
 
 
 def test_polar_mask_is_validated():
@@ -56,7 +57,7 @@ def test_polar_mask_is_validated():
         with pytest.raises(ValueError, match="bool mask of shape"):
             build_nlp(EMPTY, bad, lay, 0.1, pairs, 0.3)
     p = build_nlp(EMPTY, [False, True, False], lay, 0.1, pairs, 0.3)
-    assert p.polar.tolist() == [False, True, False]
+    assert np.isfinite(p.lower).tolist() == [True, True, True, False, False, True, True]
 
 
 # --- frozen constraint values ----------------------------------------------
@@ -64,11 +65,11 @@ def test_polar_mask_is_validated():
 # hand; exact-in-double cases use equality.
 
 
-def build_simple(polar, centers, instance=EMPTY, delta=2.0, r_cap=1.0, pairs=None):
+def build_simple(free, centers, instance=EMPTY, delta=2.0, r_cap=1.0, pairs=None):
     lay = Layout(np.asarray(centers, dtype=float), 0.0)
     if pairs is None:
-        pairs = all_pairs(len(polar), instance.f_count)
-    return build_nlp(instance, polar, lay, delta, pairs, r_cap)
+        pairs = all_pairs(len(free), instance.f_count)
+    return build_nlp(instance, free, lay, delta, pairs, r_cap)
 
 
 def test_value_containment_cartesian():
@@ -83,7 +84,7 @@ def test_value_containment_polar():
     p = build_simple(mask(1, 0), [(0.5, 0.0)])
     z = p.pack_start(np.array([[0.5, 0.0]]), 0.2)
     g = p.constraint_values(z)
-    # The same squared row as a Cartesian circle: (1 - 0.2)^2 - 0.5^2
+    # The same squared row as a boxed circle: (1 - 0.2)^2 - 0.5^2
     assert g[row_of(p, FAMILY_CONTAINMENT, (0,))] == pytest.approx(0.39, abs=1e-15)
 
 
@@ -126,16 +127,16 @@ def test_value_prohibited_polar():
 
 
 def test_coordinate_systems_agree():
-    # A row is the same function of the centres whichever coordinate
-    # system each circle was assigned: its value, its violation in
-    # distance units and the merit value agree row by row across posings.
+    # A row is the same function of the centres whichever circles are
+    # free: its value, its violation in distance units and the merit
+    # value agree row by row across posings.
     inst = Instance("d", [disk(0.2, 0.3, 0.1)])
     centers = np.array([[0.31, -0.22], [-0.47, 0.11], [0.05, 0.58]])
     rng = np.random.default_rng(31)
     by_id = rng.uniform(0.0, 2.0, row_id_count(3, 1))
     tagged, merits = [], []
-    for polar in (mask(3), mask(3, 0, 1, 2), mask(3, 1)):
-        p = build_simple(polar, centers, inst)
+    for free in (mask(3), mask(3, 0, 1, 2), mask(3, 1)):
+        p = build_simple(free, centers, inst)
         z = p.pack_start(centers, 0.17)
         rows = zip(p.row_ids.tolist(), p.constraint_values(z), p.linear_violations(z))
         tagged.append({key: (g, lv) for key, g, lv in rows})
@@ -148,6 +149,49 @@ def test_coordinate_systems_agree():
     assert merits[2] == pytest.approx(merits[0], abs=1e-12)
 
 
+def test_the_mask_changes_only_the_bounds():
+    # Every circle has (x, y) at 1 + 2i and 2 + 2i, whichever circles are
+    # free.  So at one z every mask gives the same program bit for bit,
+    # and the masks differ only in lower and upper: a boxed centre gets
+    # c +- delta, a free one exactly -inf and +inf.
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        k = int(rng.integers(0, 3))
+        disks = [disk(*rng.uniform(-0.5, 0.5, 2), rng.uniform(0.05, 0.2)) for _ in range(k)]
+        inst = Instance("d", disks)
+        centers = rng.uniform(-0.9, 0.9, size=(n, 2))
+        delta = float(rng.uniform(0.0, 0.3))
+        r_cap = float(rng.uniform(0.05, 0.5))
+        radius = float(rng.uniform(0.0, r_cap))
+        masks = [mask(n), mask(n, *range(n)), rng.random(n) < 0.5]
+        problems = [build_simple(m, centers, inst, delta, r_cap) for m in masks]
+        z = problems[0].pack_start(centers, radius) + rng.normal(0.0, 0.05, 2 * n + 1)
+        multipliers = rng.uniform(0.0, 2.0, problems[0].m)
+
+        def evaluate(p):
+            return (
+                p.pack_start(centers, radius),
+                p.row_ids,
+                p.constraint_values(z),
+                p.jacobian(z),
+                *p.augmented_lagrangian(z, multipliers, 10.0),
+                *p.outer_update(z, multipliers, 10.0),
+                p.extract_centers(z),
+            )
+
+        want = evaluate(problems[0])
+        for free, p in zip(masks, problems):
+            for got, expected in zip(evaluate(p), want):
+                assert np.array_equal(got, expected)
+            assert (p.lower[0], p.upper[0]) == (0.0, r_cap)
+            boxed, c = ~np.repeat(free, 2), centers.ravel()
+            assert np.array_equal(p.lower[1:][boxed], c[boxed] - delta)
+            assert np.array_equal(p.upper[1:][boxed], c[boxed] + delta)
+            assert (p.lower[1:][~boxed] == -math.inf).all()
+            assert (p.upper[1:][~boxed] == math.inf).all()
+
+
 # --- pruning ---------------------------------------------------------------
 
 
@@ -155,7 +199,7 @@ def test_prune_drops_far_cartesian_pair():
     lay = Layout(np.array([[-0.9, 0.0], [0.9, 0.0]]), 0.0)
     circle_pairs, _ = prune_pairs(lay, mask(2), 0.01, 0.3, EMPTY)
     assert circle_pairs.shape == (0, 2)
-    # The same geometry with one polar circle is never pruned.
+    # The same geometry with one free circle is never pruned.
     circle_pairs, _ = prune_pairs(lay, mask(2, 1), 0.01, 0.3, EMPTY)
     assert circle_pairs.tolist() == [[0, 1]]
 
@@ -195,9 +239,9 @@ def test_pruned_pairs_cannot_collide():
         pts = rng.uniform(-0.95, 0.95, size=(n, 2))
         delta = float(rng.uniform(0.0, 0.2))
         r_cap = float(rng.uniform(0.05, 0.4))
-        polar = np.array([rng.random() >= 0.7 for _ in range(n)])
+        free = np.array([rng.random() >= 0.7 for _ in range(n)])
         lay = Layout(pts, 0.0)
-        circle_pairs, clearances = prune_pairs(lay, polar, delta, r_cap, inst)
+        circle_pairs, clearances = prune_pairs(lay, free, delta, r_cap, inst)
         kept_circle = set(map(tuple, circle_pairs.tolist()))
         kept_proh = set(map(tuple, clearances.tolist()))
         for i in range(n):
@@ -205,13 +249,13 @@ def test_pruned_pairs_cannot_collide():
                 if (i, j) in kept_circle:
                     continue
                 pruned_seen += 1
-                assert not polar[i] and not polar[j]
+                assert not free[i] and not free[j]
                 assert box_gap(pts[i], pts[j], delta) >= 2.0 * r_cap - 1e-12
             for f in range(inst.f_count):
                 if (i, f) in kept_proh:
                     continue
                 pruned_seen += 1
-                assert not polar[i]
+                assert not free[i]
                 fc = inst.prohibited_centers()[f]
                 fr = float(inst.prohibited_radii()[f])
                 # Nearest reachable point of the movement box to the disk.
@@ -255,21 +299,9 @@ def test_build_counts_and_bounds():
     assert p.lower[0] == 0.0 and p.upper[0] == 0.4
     # A movement box is c +- delta, also past the container's edge: the
     # containment rows hold the container.
-    x1, y1 = p.var_a[1], p.var_b[1]
-    assert (p.lower[x1], p.upper[x1]) == (0.95 - 0.2, 0.95 + 0.2)
-    assert (p.lower[y1], p.upper[y1]) == (-0.2, 0.2)
-
-
-def test_polar_variables_are_unbounded():
-    # prune_pairs keeps every pair that touches a polar circle, so no
-    # bound on (r, theta) is needed; r < 0 is the point r e^{i theta}.
-    p = build_simple(mask(1, 0), [(0.3, 0.3)], delta=0.01)
-    r_slot, t_slot = p.var_a[0], p.var_b[0]
-    for slot in (r_slot, t_slot):
-        assert (p.lower[slot], p.upper[slot]) == (-math.inf, math.inf)
-    z = p.pack_start(np.array([[0.3, 0.3]]), 0.1)
-    z[r_slot], z[t_slot] = -0.5, 0.0
-    assert p.extract_centers(z).tolist() == [[-0.5, 0.0]]
+    # Circle 1's (x, y) are variables 3 and 4.
+    assert (p.lower[3], p.upper[3]) == (0.95 - 0.2, 0.95 + 0.2)
+    assert (p.lower[4], p.upper[4]) == (-0.2, 0.2)
 
 
 def test_build_rejects_bad_pairs():
@@ -298,17 +330,6 @@ def test_pack_extract_round_trip():
     z = p.pack_start(centers, 0.1)
     back = p.extract_centers(z)
     assert np.allclose(back, centers, atol=1e-15)
-
-
-def test_pack_extract_round_trip_at_polar_seams():
-    # theta just either side of 0 and r = 0 must map back to the same
-    # centres.  theta is arctan2(y, x), with no wrap into [0, 2*pi].
-    centers = np.array([[0.5, 1e-17], [0.5, -1e-17], [0.0, 0.0]])
-    p = build_simple(mask(3, 0, 1, 2), centers)
-    z = p.pack_start(centers, 0.1)
-    assert z[p.var_b[0]] == 2e-17 and z[p.var_b[1]] == -2e-17
-    assert z[p.var_a[2]] == 0.0
-    assert np.allclose(p.extract_centers(z), centers, rtol=0.0, atol=1e-15)
 
 
 def test_linear_violations_match_geometry():
@@ -374,8 +395,8 @@ def test_outer_update_matches_the_separate_calls():
 
 
 def test_row_ids_name_each_constraint():
-    # Ids depend on the circles and the disk alone: not on the coordinate
-    # choice, the row order or the orientation of a pair.
+    # Ids depend on the circles and the disk alone: not on the mask, the
+    # row order or the orientation of a pair.
     inst = Instance("d", [disk(0.1, -0.2, 0.15), disk(-0.3, 0.35, 0.1)])
     centers = np.array([[0.3, 0.1], [-0.2, 0.4], [0.0, -0.5]])
     pairs = ([(0, 2), (2, 1)], [(1, 0), (2, 1)])
@@ -390,29 +411,28 @@ def test_row_ids_name_each_constraint():
         (FAMILY_PROHIBITED, (2, 1)): n + n * n + 2 * k + 1,
     }
     assert row_id_count(n, k) == n + n * n + n * k
-    for polar in (mask(3), mask(3, 0, 2)):
-        p = build_simple(polar, centers, inst, pairs=pairs)
+    for free in (mask(3), mask(3, 0, 2)):
+        p = build_simple(free, centers, inst, pairs=pairs)
         tags = [p.row_tag(row) for row in range(p.m)]
         assert dict(zip(tags, p.row_ids.tolist())) == want
 
 
 def test_row_tag_decodes_every_row():
     # Family and circles of every row, from its id alone, under every
-    # coordinate choice; n = 1 and k = 0 leave the pair or the clearance
-    # arrays empty, of shape (0, 2).
+    # mask; n = 1 and k = 0 leave the pair or the clearance arrays empty,
+    # of shape (0, 2).  Containment rows come in circle order.
     rng = np.random.default_rng(29)
     disks = [disk(0.1, -0.2, 0.15), disk(-0.3, 0.35, 0.1)]
     for n, k in ((4, 2), (1, 2), (4, 0), (1, 0)):
         inst = Instance("d", disks[:k])
         lay = Layout(rng.uniform(-0.5, 0.5, size=(n, 2)), 0.0)
-        # Nothing is pruned while every circle is polar.
+        # Nothing is pruned while every circle is free.
         circle_pairs, clearances = prune_pairs(lay, mask(n, *range(n)), 0.1, 0.2, inst)
         assert circle_pairs.shape == (n * (n - 1) // 2, 2)
         assert clearances.shape == (n * k, 2)
-        for polar in (mask(n), mask(n, *range(n)), mask(n, *range(0, n, 2))):
-            p = build_nlp(inst, polar, lay, 0.1, (circle_pairs, clearances), 0.2)
-            order = np.concatenate((np.flatnonzero(~polar), np.flatnonzero(polar)))
-            want = [(FAMILY_CONTAINMENT, (i,)) for i in order.tolist()]
+        for free in (mask(n), mask(n, *range(n)), mask(n, *range(0, n, 2))):
+            p = build_nlp(inst, free, lay, 0.1, (circle_pairs, clearances), 0.2)
+            want = [(FAMILY_CONTAINMENT, (i,)) for i in range(n)]
             want += [(FAMILY_PAIR, (i, j)) for i, j in circle_pairs.tolist()]
             want += [(FAMILY_PROHIBITED, (i, f)) for i, f in clearances.tolist()]
             assert [p.row_tag(row) for row in range(p.m)] == want
@@ -429,7 +449,7 @@ def test_row_tag_decodes_every_row():
 
 
 def test_merit_gradient_matches_jacobian():
-    # Both gradients pull rows back through the coordinate map; the dense
+    # The merit gradient sums the row partials by one bincount; the dense
     # jacobian places the same partials entry by entry.
     rng = np.random.default_rng(5)
     inst = Instance("d", [disk(0.1, -0.2, 0.15)])
@@ -451,7 +471,7 @@ def test_merit_gradient_matches_jacobian():
 
 
 def test_program_without_pairs_or_disks():
-    # Both pair families empty: only containment rows, one of them polar.
+    # Both pair families empty: only containment rows, one of them free.
     centers = np.array([[0.2, -0.1], [-0.3, 0.4]])
     p = build_simple(mask(2, 1), centers, pairs=([], []))
     assert [p.row_tag(row)[0] for row in range(p.m)] == [FAMILY_CONTAINMENT] * 2
@@ -486,10 +506,12 @@ def test_non_finite_variable_reaches_merit(assignment, with_pairs, with_disks):
     p = build_simple(np.array(assignment), centers, inst, pairs=pairs)
     start = p.pack_start(centers, 0.17)
     settings = [(np.zeros(p.m), 10.0), (np.linspace(0.5, 2.0, p.m), 1e6)]
-    # Polar r is unbounded, so a finite r whose square overflows must show too.
-    polar_r = p.var_a[np.array(assignment)]
+    # A free centre is unbounded, so a finite x or y whose square
+    # overflows must show too.
+    free = np.flatnonzero(assignment)
+    unbounded = set((1 + 2 * free).tolist() + (2 + 2 * free).tolist())
     for j in range(p.nv):
-        for bad in (math.nan, math.inf, -math.inf) + ((1e200, -1e200) if j in polar_r else ()):
+        for bad in (math.nan, math.inf, -math.inf) + ((1e200, -1e200) if j in unbounded else ()):
             z = start.copy()
             z[j] = bad
             for multipliers, penalty in settings:

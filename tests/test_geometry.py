@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsspack.formulation import build_nlp
 from fsspack.geometry import (
     CartesianPoint,
     FeasibilityReport,
@@ -51,19 +50,6 @@ def single_disk(x: float, y: float, r: float) -> Instance:
 
 
 # --- domain types ----------------------------------------------------------
-
-
-def test_cart_polar_quadrants():
-    # The polar convention of the packing program: theta = arctan2(y, x),
-    # measured from the +x axis, and r = 0 at the origin.
-    centers = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 0.0]])
-    p = build_nlp(EMPTY, np.ones(4, dtype=bool), Layout(centers, 0.0), 2.0, ([], []), 1.0)
-    z = p.pack_start(centers, 0.1)
-    assert z[p.var_b[0]] == math.pi
-    assert z[p.var_b[1]] == -0.5 * math.pi
-    assert z[p.var_b[2]] == 0.0
-    assert z[p.var_a[3]] == 0.0
-    assert np.allclose(p.extract_centers(z), centers, rtol=0.0, atol=1e-15)
 
 
 def test_prohibited_circle_validation():

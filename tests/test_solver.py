@@ -47,14 +47,14 @@ def annulus_oracle(hole: float) -> float:
     return margin((lo + hi) / 2)
 
 
-def mask(n, *polar):
-    # Polar mask of n circles, True at the given indices.
+def mask(n, *free):
+    # Free (unboxed) mask of n circles, True at the given indices.
     out = np.zeros(n, dtype=bool)
-    out[list(polar)] = True
+    out[list(free)] = True
     return out
 
 
-def build_for(centers, polar, instance=EMPTY, delta=2.0, r_cap=None, pairs=None):
+def build_for(centers, free, instance=EMPTY, delta=2.0, r_cap=None, pairs=None):
     centers = np.asarray(centers, dtype=float)
     n, _ = centers.shape
     if r_cap is None:
@@ -64,7 +64,7 @@ def build_for(centers, polar, instance=EMPTY, delta=2.0, r_cap=None, pairs=None)
             np.column_stack(np.triu_indices(n, k=1)),
             np.indices((n, instance.f_count)).reshape(2, -1).T,
         )
-    return build_nlp(instance, polar, Layout(centers, 0.0), delta, pairs, r_cap)
+    return build_nlp(instance, free, Layout(centers, 0.0), delta, pairs, r_cap)
 
 
 @pytest.fixture
@@ -130,30 +130,6 @@ def test_polar_formulation_reaches_the_same_optimum(monotone_merit):
     res = solve(p, p.pack_start(centers, 0.05))
     corrected = correct_radius(p.extract_centers(res.point), inst)
     assert corrected == pytest.approx((1.0 - hole) / 2.0, abs=1e-7)
-
-
-@pytest.mark.parametrize(
-    "disk, start, want, centre",
-    [
-        # Through the origin: r passes 0 and ends at -0.4.
-        ((0.5, 0.0, 0.3), (0.05, 0.0), 0.6, (-0.4, 0.0)),
-        # Across theta = 0: theta goes from 0.1 to -pi/2.
-        ((0.0, 0.6, 0.35), (0.5 * np.cos(0.1), 0.5 * np.sin(0.1)), 0.625, (0.0, -0.375)),
-    ],
-    ids=["through-origin", "across-theta-0"],
-)
-def test_a_polar_circle_is_not_held_at_r_0_or_theta_0(monotone_merit, disk, start, want, centre):
-    # One polar circle and one disk; the best circle lies on the far side
-    # of the origin or of theta = 0 from the start.  A box r >= 0 or
-    # theta >= 0 would stop the solve on it, short of the optimum.
-    x, y, r = disk
-    inst = Instance("one-disk", [ProhibitedCircle(CartesianPoint(x, y), r)])
-    p = build_for([start], mask(1, 0), inst)
-    res = solve(p, p.pack_start(np.array([start]), 0.1))
-    assert res.status == CONVERGED
-    centers = p.extract_centers(res.point)
-    assert correct_radius(centers, inst) == pytest.approx(want, abs=1e-8)
-    assert np.allclose(centers, [centre], rtol=0.0, atol=1e-6)
 
 
 def test_solver_is_deterministic():
@@ -257,7 +233,7 @@ def test_gradient_check_interior_and_bounds():
     interior = p.pack_start(centers, 0.2)
     assert gradient_check(p, interior) < 1e-8
     # Move every boxed variable onto its lower bound; one-sided
-    # differences are coarser.  The polar variables are unbounded.
+    # differences are coarser.  The free circle's variables are unbounded.
     at_bounds = np.where(np.isfinite(p.lower), p.lower, interior)
     assert gradient_check(p, at_bounds) < 1e-5
 
