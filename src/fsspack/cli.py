@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .engine import FssConfig, run
+from .engine import SEED_LIMIT, FssConfig, run
 from .geometry import (
     Instance,
     LayoutFormatError,
@@ -116,6 +116,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     ):
         if value < 1:
             raise _CliError(f"{flag} must be at least 1, got {value}", USAGE_ERROR)
+    if not 0 <= args.seed < SEED_LIMIT:
+        raise _CliError(f"--seed must be in [0, 2**64), got {args.seed}", USAGE_ERROR)
     instance, label, f_count = _resolve_problem(args.problem, args.fcount)
     sizes = _parse_n_list(args.n)
     out_dir = Path(args.out)

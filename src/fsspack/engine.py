@@ -2,14 +2,16 @@
 
 Every iteration re-poses the problem before solving it again: a coin per
 circle makes it boxed or free.  A boxed centre may only move inside a
-box whose half-width is DELTA_FACTOR times the last corrected radius, or
-times the radius cap while that is still 0; a free centre is unbounded,
-and every pair it touches is kept.  The paper flips each circle between
-Cartesian and polar coordinates instead; here the coin changes only the
-bounds and the pruning (see fsspack.formulation).  The solver's point is
-adopted whether or not it improved, so the search keeps drifting through
-formulation space; the corrected radius decides what counts as the best
-layout seen.
+box whose half-width is DELTA_FACTOR times the last corrected radius; a
+free centre is unbounded, and every pair it touches is kept.  While the
+corrected radius is 0, as before the first solve, every circle is free
+whatever its coin says: a box of DELTA_FACTOR * 0 would hold each boxed
+centre where it is.  The paper flips each circle between Cartesian and
+polar coordinates instead, on every solve; here the coin changes only
+the bounds and the pruning (see fsspack.formulation).  The solver's
+point is adopted whether or not it improved, so the search keeps
+drifting through formulation space; the corrected radius decides what
+counts as the best layout seen.
 
 Each solve starts warm from the last one: from its centres, its
 corrected radius and the multipliers it accepted at exit.  The solver's
@@ -54,11 +56,12 @@ from .formulation import build_nlp, prune_pairs, row_id_count
 from .geometry import Instance, Layout, TWO_PI, correct_radius, radius_upper_bound, verify_layout
 from .solver import NUMERICAL_FAILURE, load_optimizer, solve
 
-_MASK64 = (1 << 64) - 1
+# A seed fills one 64-bit word of the generator's key, so FssConfig
+# accepts only seeds in [0, SEED_LIMIT).
+SEED_LIMIT = 1 << 64
 
 # Half-width of the box each boxed centre may move in, as a fraction
-# of the last corrected radius (of the radius upper bound before the first
-# solve, and while the corrected radius is 0).
+# of the last corrected radius.
 DELTA_FACTOR = 2.0 / 3.0
 
 
@@ -81,6 +84,8 @@ class FssConfig:
             raise ValueError(f"need at least one circle, got n={self.n}")
         if self.iterations < 1 or self.replications < 1:
             raise ValueError("iterations and replications must be at least 1")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass
@@ -110,9 +115,10 @@ def replication_rng(seed: int, replication: int) -> np.random.Generator:
     """Independent stream per replication.
 
     The 128-bit key of a counter-based generator is (seed, replication),
-    so streams never overlap and need no serial warm-up.
+    so streams never overlap and need no serial warm-up.  Both must lie
+    in [0, 2**64); numpy raises OverflowError otherwise.
     """
-    key = np.array([seed & _MASK64, replication & _MASK64], dtype=np.uint64)
+    key = np.array([seed, replication], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -150,9 +156,10 @@ def run_replication(
 
     for t in range(config.iterations):
         tic = time.perf_counter()
-        # A box of DELTA_FACTOR * radius would freeze every boxed
-        # centre while the radius is 0, as at the start: use the cap.
-        delta = DELTA_FACTOR * (current.radius if current.radius > 0.0 else r_cap)
+        if current.radius == 0.0:
+            # A box of zero half-width would hold every boxed centre still.
+            free = np.ones(n, dtype=bool)
+        delta = DELTA_FACTOR * current.radius
         pairs = prune_pairs(current, free, delta, r_cap, instance)
         problem = build_nlp(instance, free, current, delta, pairs, r_cap)
         start = problem.pack_start(current.centers, current.radius)

@@ -481,8 +481,23 @@ def layout_from_dict(doc: dict) -> tuple[Layout, str]:
 
 
 def save_layout(layout: Layout, instance_name: str, path: Union[str, Path]) -> None:
-    text = json.dumps(layout_to_dict(layout, instance_name), indent=2)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    """Write layout_to_dict's document as `json.dumps(doc, indent=2)` plus
+    a newline would, byte for byte.
+
+    The text is assembled here because an indent sends json.dumps to its
+    pure-Python encoder; each string still goes through the module's
+    (C) ASCII string encoder.
+    """
+    doc = layout_to_dict(layout, instance_name)
+    quote = json.encoder.encode_basestring_ascii
+    centers = ",\n".join(
+        f"    [\n      {quote(x)},\n      {quote(y)}\n    ]" for x, y in doc["centers"]
+    )
+    text = (
+        f'{{\n  "instance": {quote(doc["instance"])},\n  "n": {doc["n"]},\n'
+        f'  "radius": {quote(doc["radius"])},\n  "centers": [\n{centers}\n  ]\n}}\n'
+    )
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def load_layout(path: Union[str, Path]) -> tuple[Layout, str]:

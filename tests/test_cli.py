@@ -107,6 +107,13 @@ def test_run_usage_errors(tmp_path, capsys):
         assert run_cli(*argv) == 2
         err = capsys.readouterr().err
         assert err == f"error: {flag} must be at least 1, got {value}\n"
+    # A seed outside [0, 2**64) would run as another seed and be recorded as given.
+    for value in ("-1", str(2**64)):
+        argv = ["run", "--problem", "2", "--n", "2", "--out", out, *BUDGET, "--seed", value]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --seed must be in [0, 2**64), got {value}\n"
+    assert not (tmp_path / "res" / "results.json").exists()
     with pytest.raises(SystemExit) as exc:
         run_cli("run", "--problem", "2")
     assert exc.value.code == 2

@@ -103,6 +103,14 @@ def test_fss_config_validates():
         FssConfig(n=1, iterations=0)
     with pytest.raises(ValueError):
         FssConfig(n=1, replications=0)
+    # A seed outside [0, 2**64) would run as some seed inside it.
+    for seed in (-1, 2**64, -(2**64), 2**65 + 3):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            FssConfig(n=1, seed=seed)
+    assert FssConfig(n=1, seed=2**64 - 1).seed == 2**64 - 1
+    for seed in (-1, 2**64):
+        with pytest.raises(OverflowError):
+            replication_rng(seed, 0)
 
 
 def test_replication_is_deterministic():
@@ -129,24 +137,40 @@ def test_replication_traces_are_coherent():
         assert t.r_star <= r_cap + 1e-12
         assert 0 <= t.boxed_count <= 3
         assert t.elapsed >= 0.0
-    # The first trace records the starting box half-width; later ones
-    # shrink it from the previous corrected radius.
-    assert traces[0].delta == pytest.approx(engine.DELTA_FACTOR * r_cap)
-    assert traces[1].delta == pytest.approx(engine.DELTA_FACTOR * traces[0].r_star)
+    # The first solve starts at radius 0, so it has no box at all; later
+    # boxes scale with the previous corrected radius.
+    assert traces[0].delta == 0.0 and traces[0].boxed_count == 0
+    for before, after in zip(traces, traces[1:]):
+        assert after.delta == engine.DELTA_FACTOR * before.r_star
     assert lay.radius == traces[-1].r_best
 
 
-def test_zero_radius_keeps_the_first_box(monkeypatch):
+def test_zero_radius_frees_every_circle(monkeypatch):
     # The first solve's corrected radius reads 0.  A box of
-    # DELTA_FACTOR * 0 would freeze every Cartesian centre and hold r* at
-    # 0 for good.
+    # DELTA_FACTOR * 0 would freeze every boxed centre and hold r* at 0
+    # for good, so the next program boxes nothing and prunes nothing.
+    problems = []
+    real_build = engine.build_nlp
+
+    def recording_build(*args):
+        problems.append(real_build(*args))
+        return problems[-1]
+
+    monkeypatch.setattr(engine, "build_nlp", recording_build)
     recording_solve(monkeypatch, zero_radius_at={0})
     inst = builtin_instance(2)
-    cfg = FssConfig(n=6, iterations=4, replications=1, seed=9)
-    r_cap = radius_upper_bound(inst, 6)
+    n = 6
+    cfg = FssConfig(n=n, iterations=4, replications=1, seed=9)
     _, traces = run_replication(inst, cfg, replication_rng(9, 0))
     assert traces[0].r_star == 0.0
-    assert traces[1].delta == engine.DELTA_FACTOR * r_cap
+    for p in problems[:2]:
+        assert (p.lower[1:] == -np.inf).all() and (p.upper[1:] == np.inf).all()
+        assert p.m == n + n * (n - 1) // 2 + n * inst.f_count
+    assert [t.boxed_count for t in traces[:2]] == [0, 0]
+    assert traces[1].delta == 0.0
+    # Once the radius is positive the coin boxes circles again.
+    assert traces[1].r_star > 0.0
+    assert any(t.boxed_count > 0 for t in traces[2:])
     assert traces[-1].r_best > 0.0
 
 

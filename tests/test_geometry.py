@@ -633,6 +633,21 @@ def test_layout_file_round_trip(tmp_path):
     assert json.loads(path.read_text())["radius"] == "100000000000000000000.00000000"
 
 
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("radius", [0.0, 5e-324, 0.2071067811865476, 1e20, sys.float_info.max])
+@pytest.mark.parametrize("name", ["problem2", 'pröblèm "円" \\ 2\n'])
+def test_saved_layout_is_json_dumps_indent_2(tmp_path, n, radius, name):
+    centers = np.array([[-0.0, 0.0], [0.123456789012345, -5e-324], [-0.0, -0.75]])[:n]
+    layout = Layout(centers, radius)
+    path = tmp_path / "lay.json"
+    save_layout(layout, name, path)
+    want = json.dumps(layout_to_dict(layout, name), indent=2) + "\n"
+    assert path.read_bytes() == want.encode("utf-8")
+    loaded, loaded_name = load_layout(path)
+    assert loaded_name == name
+    assert loaded.centers.tobytes() == centers.tobytes()
+
+
 def test_load_layout_rejects_bad_files(tmp_path):
     path = tmp_path / "lay.json"
     path.write_text("[1, 2]")
