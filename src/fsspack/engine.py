@@ -98,6 +98,8 @@ class IterationTrace:
     status: str
     outer_rounds: int
     merit_calls: int
+    # Inner rounds of the solve that stopped at the iteration cap.
+    capped_rounds: int
     elapsed: float
 
 
@@ -187,6 +189,7 @@ def run_replication(
                 status=result.status,
                 outer_rounds=result.outer_iterations,
                 merit_calls=result.merit_calls,
+                capped_rounds=result.capped_rounds,
                 elapsed=time.perf_counter() - tic,
             )
         )

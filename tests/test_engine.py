@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsspack import engine
+from fsspack import engine, solver
 from fsspack.engine import (
     EngineError,
     FssConfig,
@@ -33,7 +33,7 @@ from fsspack.geometry import (
     radius_upper_bound,
     verify_layout,
 )
-from fsspack.instances import builtin_instance
+from fsspack.instances import builtin_instance, instance_from_name
 from fsspack.solver import NUMERICAL_FAILURE
 from strategies import drawn_instances
 
@@ -187,6 +187,51 @@ def test_trace_merit_calls_count_every_merit_evaluation(monkeypatch):
     steps = [step for trace in report.traces for step in trace]
     assert sum(step.merit_calls for step in steps) == len(calls) > 0
     assert all(1 <= step.outer_rounds <= 50 for step in steps)
+
+
+def test_the_no_step_shortcut_leaves_every_search_bit_identical(monkeypatch):
+    # solver.minimize answers a round without scipy when L-BFGS-B would
+    # not move from its start.  Calling scipy in every round instead must
+    # change nothing: not the best layout, and not one iteration's radius,
+    # status, outer rounds, merit calls or capped rounds.  The n = 20 case
+    # boxes circles after its first solve.
+    optimize = solver.load_optimizer()
+    real = optimize.minimize
+    scipy_calls = []
+
+    def counted(*args, **kwargs):
+        scipy_calls.append(1)
+        return real(*args, **kwargs)
+
+    cases = [
+        (instance_from_name("problem2"), FssConfig(n=10, iterations=10, replications=3, seed=1)),
+        (instance_from_name("problem1-f11"), FssConfig(n=10, iterations=10, replications=3, seed=1)),
+        (instance_from_name("problem6"), FssConfig(n=20, iterations=4, replications=1, seed=2)),
+    ]
+
+    def outcomes():
+        reports = [run(instance, config) for instance, config in cases]
+        return reports, [
+            (
+                report.best_radius,
+                report.best_layout.centers.tobytes(),
+                [
+                    (t.r_star, t.status, t.outer_rounds, t.merit_calls, t.capped_rounds)
+                    for trace in report.traces
+                    for t in trace
+                ],
+            )
+            for report in reports
+        ]
+
+    monkeypatch.setattr(optimize, "minimize", counted)
+    reports, shortcut = outcomes()
+    rounds = sum(t.outer_rounds for report in reports for trace in report.traces for t in trace)
+    assert 0 < len(scipy_calls) < rounds
+    assert any(t.boxed_count > 0 for t in reports[2].traces[0])
+    monkeypatch.setattr(solver, "minimize", real)
+    _, direct = outcomes()
+    assert shortcut == direct
 
 
 def recording_solve(monkeypatch, fail_at=(), zero_radius_at=()):
@@ -363,8 +408,8 @@ def test_run_restores_blas_threads_after_a_raise(two_blas_threads, monkeypatch):
 
 BLAS_PROBE = """
 import json, sys
-from fsspack import engine
-from fsspack.instances import builtin_instance
+from fsspack import engine, solver
+from fsspack.instances import builtin_instance, instance_from_name
 
 def mapped():
     with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:

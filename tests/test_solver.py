@@ -290,10 +290,12 @@ def test_solve_rejects_bad_start_shape():
 def test_gradient_memo_never_serves_a_stale_gradient(monkeypatch):
     # scipy asks for the gradient right after the value at the same point,
     # but the solver must not rely on it.  This stand-in for minimize asks
-    # for it first, again after the value, and at another point, in every
-    # outer round, and ends each round with a value at the point it
-    # returns.  The start overlaps two circles, so the penalty grows
-    # between rounds and a gradient kept from the last round would be stale.
+    # for the gradient or the value first, in turn, then for the other at
+    # the same point, again for both, and for the gradient at another
+    # point, in every outer round; it ends each round with a value at the
+    # point it returns, which is where the next round starts.  The start
+    # overlaps two circles, so the penalty grows between rounds and a value
+    # or a gradient kept from the last round would be stale.
     centers = np.array([[0.2, 0.2], [0.21, 0.2]])
     p = build_for(centers, mask(2, 1))
     real = p.augmented_lagrangian
@@ -307,25 +309,104 @@ def test_gradient_memo_never_serves_a_stale_gradient(monkeypatch):
     rounds = []
 
     def stub(fun, x0, jac, bounds, **kwargs):
-        first = jac(x0)
-        fun(x0)
+        before = len(evaluations)
+        if len(rounds) % 2:
+            value, first = fun(x0), jac(x0)
+        else:
+            first, value = jac(x0), fun(x0)
+        # One fresh evaluation, at this round's multipliers and penalty.
+        assert len(evaluations) == before + 1
         multipliers, penalty = evaluations[-1]
-        again = jac(x0)
-        used = len(evaluations)
+        want_value, want_grad = real(x0, multipliers, penalty)
+        assert value == want_value and np.array_equal(first, want_grad)
+        assert fun(x0) == value and np.array_equal(jac(x0), first)
+        assert len(evaluations) == before + 1
         other = np.clip(x0 + 0.01, bounds.lb, bounds.ub)
         moved = jac(other)
-        rounds.append(penalty)
-        assert np.array_equal(first, real(x0, multipliers, penalty)[1])
-        assert np.array_equal(again, first) and used == len(evaluations) - 1
+        assert len(evaluations) == before + 2
         assert np.array_equal(moved, real(other, multipliers, penalty)[1])
+        rounds.append((multipliers.copy(), penalty))
         fun(x0)
-        return OptimizeResult(x=x0)
+        return OptimizeResult(x=x0, nit=0)
 
     monkeypatch.setattr(solver, "minimize", stub)
     solve(p, p.pack_start(centers, 0.4))
-    assert len(set(rounds)) > 1
+    assert len(rounds) > 2
+    assert len({penalty for _, penalty in rounds}) > 1
+    # Some round kept the penalty and took new multipliers.
+    assert any(
+        a[1] == b[1] and not np.array_equal(a[0], b[0]) for a, b in zip(rounds, rounds[1:])
+    )
 
 
+def test_the_no_step_shortcut_fires_exactly_when_scipy_takes_no_step(monkeypatch):
+    # solver.minimize answers a round itself when the start passes
+    # L-BFGS-B's first test.  On random small programs it must do so
+    # exactly when scipy.optimize.minimize returns the start, bit for bit,
+    # after one evaluation, and then give what scipy gives.  A line search
+    # that fails in the first iteration also returns the start at nit 0,
+    # but after more evaluations: that round is scipy's.  Starts are drawn
+    # raw, with R at 0 or at r_cap and boxed centres on their bounds, or
+    # polished by a first L-BFGS-B run, which leaves the test near its
+    # threshold.
+    optimize = solver.load_optimizer()
+    real = optimize.minimize
+    scipy_calls = []
+
+    def counted(*args, **kwargs):
+        scipy_calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "minimize", counted)
+    rng = np.random.default_rng(2024)
+    outcomes = []
+    for _ in range(150):
+        n, k = int(rng.integers(1, 9)), int(rng.integers(0, 3))
+        inst = Instance(
+            "random",
+            [
+                ProhibitedCircle(CartesianPoint(*rng.uniform(-0.8, 0.8, 2)), rng.uniform(0.05, 0.3))
+                for _ in range(k)
+            ],
+        )
+        centers = rng.uniform(-0.7, 0.7, (n, 2))
+        p = build_for(centers, rng.random(n) > 0.5, inst, delta=rng.uniform(0.01, 0.3))
+        r_cap = p.upper[0]
+        z = p.pack_start(centers, rng.choice([0.0, r_cap, rng.uniform(0.0, r_cap)]))
+        boxed = np.isfinite(p.lower)
+        on_bound = boxed & (rng.random(p.nv) < 0.3)
+        z[on_bound] = np.where(rng.random(p.nv) < 0.5, p.lower, p.upper)[on_bound]
+        multipliers = rng.exponential(1.0, p.m) * (rng.random(p.m) < rng.random())
+        penalty = 10.0 ** rng.integers(1, 9)
+
+        def fun(x):
+            return p.augmented_lagrangian(x, multipliers, penalty)[0]
+
+        def jac(x):
+            return p.augmented_lagrangian(x, multipliers, penalty)[1]
+
+        def options(gtol):
+            return {"maxiter": 500, "maxfun": 5000, "ftol": 1e-14, "gtol": gtol, "maxcor": 12}
+
+        bounds = optimize.Bounds(p.lower, p.upper)
+        kwargs = {"jac": jac, "method": "L-BFGS-B", "bounds": bounds}
+        gtol = 10.0 ** -rng.integers(1, 10)
+        if rng.random() < 0.7:
+            polish = min(gtol * 10.0 ** rng.integers(-1, 2), 0.1)
+            z = real(fun, z, options=options(polish), **kwargs).x
+        scipy_calls.clear()
+        ours = solver.minimize(fun, z, options=options(gtol), **kwargs)
+        theirs = real(fun, z, options=options(gtol), **kwargs)
+        no_step = theirs.nit == 0 and theirs.nfev == 1
+        assert (not scipy_calls) == no_step
+        if no_step:
+            assert theirs.x.tobytes() == z.tobytes()
+        assert ours.x.tobytes() == theirs.x.tobytes()
+        assert (ours.nit, ours.nfev, ours.fun) == (theirs.nit, theirs.nfev, theirs.fun)
+        assert np.array_equal(ours.jac, theirs.jac)
+        outcomes.append(no_step)
+    # Both branches ran, often.
+    assert outcomes.count(True) >= 25 and outcomes.count(False) >= 25
 def test_non_finite_gradient_on_the_jac_path_is_reported(monkeypatch):
     p = build_for([(0.3, 0.2)], mask(1))
     real = p.augmented_lagrangian
@@ -411,3 +492,22 @@ def test_warm_start_survives_a_coordinate_flip():
     )
     assert correct_radius(flipped.extract_centers(cold.point), inst) >= radius - 1e-9
     assert warm.merit_calls < cold.merit_calls
+
+
+def test_capped_rounds_count_the_inner_rounds_at_the_iteration_cap(monkeypatch):
+    # The first solve of this n = 30 replication has an inner round that
+    # stops at the 500-iteration cap; later ones start near its exit.
+    real = solver.minimize
+    iterations = []
+
+    def recording(*args, **kwargs):
+        result = real(*args, **kwargs)
+        iterations.append(result.nit)
+        return result
+
+    monkeypatch.setattr(solver, "minimize", recording)
+    config = FssConfig(n=30, iterations=1, replications=1, seed=1)
+    _, traces = run_replication(builtin_instance(2), config, replication_rng(1, 0))
+    assert max(iterations) == solver._MAX_INNER
+    assert traces[0].capped_rounds == iterations.count(solver._MAX_INNER) > 0
+    assert len(iterations) == traces[0].outer_rounds
