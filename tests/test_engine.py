@@ -203,9 +203,10 @@ def test_the_no_step_shortcut_leaves_every_search_bit_identical(monkeypatch):
         scipy_calls.append(1)
         return real(*args, **kwargs)
 
+    n10 = FssConfig(n=10, iterations=10, replications=3, seed=1)
     cases = [
-        (instance_from_name("problem2"), FssConfig(n=10, iterations=10, replications=3, seed=1)),
-        (instance_from_name("problem1-f11"), FssConfig(n=10, iterations=10, replications=3, seed=1)),
+        (instance_from_name("problem2"), n10),
+        (instance_from_name("problem1-f11"), n10),
         (instance_from_name("problem6"), FssConfig(n=20, iterations=4, replications=1, seed=2)),
     ]
 

@@ -357,18 +357,19 @@ def test_the_no_step_shortcut_fires_exactly_when_scipy_takes_no_step(monkeypatch
         scipy_calls.append(1)
         return real(*args, **kwargs)
 
+    def options(gtol):
+        return {"maxiter": 500, "maxfun": 5000, "ftol": 1e-14, "gtol": gtol, "maxcor": 12}
+
     monkeypatch.setattr(optimize, "minimize", counted)
     rng = np.random.default_rng(2024)
     outcomes = []
     for _ in range(150):
         n, k = int(rng.integers(1, 9)), int(rng.integers(0, 3))
-        inst = Instance(
-            "random",
-            [
-                ProhibitedCircle(CartesianPoint(*rng.uniform(-0.8, 0.8, 2)), rng.uniform(0.05, 0.3))
-                for _ in range(k)
-            ],
-        )
+        disks = [
+            ProhibitedCircle(CartesianPoint(*rng.uniform(-0.8, 0.8, 2)), rng.uniform(0.05, 0.3))
+            for _ in range(k)
+        ]
+        inst = Instance("random", disks)
         centers = rng.uniform(-0.7, 0.7, (n, 2))
         p = build_for(centers, rng.random(n) > 0.5, inst, delta=rng.uniform(0.01, 0.3))
         r_cap = p.upper[0]
@@ -384,9 +385,6 @@ def test_the_no_step_shortcut_fires_exactly_when_scipy_takes_no_step(monkeypatch
 
         def jac(x):
             return p.augmented_lagrangian(x, multipliers, penalty)[1]
-
-        def options(gtol):
-            return {"maxiter": 500, "maxfun": 5000, "ftol": 1e-14, "gtol": gtol, "maxcor": 12}
 
         bounds = optimize.Bounds(p.lower, p.upper)
         kwargs = {"jac": jac, "method": "L-BFGS-B", "bounds": bounds}
@@ -407,6 +405,8 @@ def test_the_no_step_shortcut_fires_exactly_when_scipy_takes_no_step(monkeypatch
         outcomes.append(no_step)
     # Both branches ran, often.
     assert outcomes.count(True) >= 25 and outcomes.count(False) >= 25
+
+
 def test_non_finite_gradient_on_the_jac_path_is_reported(monkeypatch):
     p = build_for([(0.3, 0.2)], mask(1))
     real = p.augmented_lagrangian
