@@ -1,9 +1,9 @@
 """Command line interface.
 
 Subcommands: run a search over one problem and several sizes, verify a
-layout file, render a layout to SVG.  Exit codes: 0 success, 1 infeasible
-or no usable result, 2 usage errors, input files that cannot be read or
-parsed, and output paths that cannot be written.
+layout file, render a layout to SVG.  Exit codes: 0 success, 1 infeasible,
+or a run size that reached no positive radius or lost a worker, 2 usage
+errors, unreadable or malformed input files and unwritable output paths.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .engine import SEED_LIMIT, FssConfig, run
+from .engine import SEED_LIMIT, EngineError, FssConfig, run
 from .geometry import (
     Instance,
     LayoutFormatError,
@@ -124,7 +124,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     _write(lambda path: path.mkdir(parents=True, exist_ok=True), out_dir, "output directory")
 
     rows: list[ResultRow] = []
-    all_feasible = True
+    failed = False
     for n in sizes:
         config = FssConfig(
             n=n,
@@ -132,7 +132,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
             replications=args.replications,
             seed=args.seed,
         )
-        report = run(instance, config, workers=args.workers)
+        try:
+            report = run(instance, config, workers=args.workers)
+        except EngineError as exc:
+            print(f"error: {instance.name} n={n}: {exc}", file=sys.stderr)
+            failed = True
+            continue
         layout_path = out_dir / f"{instance.name}-n{n}.json"
         _write(
             lambda path: save_layout(report.best_layout, instance.name, path),
@@ -150,8 +155,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 seed=args.seed,
             )
         )
-        if report.best_radius <= 0.0:
-            all_feasible = False
         print(
             f"{instance.name} n={n}: best radius {format_radius(report.best_radius)} "
             f"(replication {report.replication_of_best}, {report.total_elapsed:.1f}s) "
@@ -160,7 +163,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     _write(lambda path: write_results_csv(rows, path), out_dir / "results.csv", "results file")
     _write(lambda path: write_results_json(rows, path), out_dir / "results.json", "results file")
-    return 0 if all_feasible else 1
+    return 1 if failed else 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -28,7 +28,8 @@ keeping.
 
 Replications are independent restarts.  Each draws its randomness from a
 counter-based stream keyed by (seed, replication index), so any subset of
-replications can be reproduced, serially or in parallel.
+replications can be reproduced, serially or in parallel.  When none
+reaches a positive radius, the run raises EngineError.
 
 While replications run, every OpenBLAS library in the process is held at
 one thread.  An idle OpenBLAS worker spins: left at its default, on a
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import math
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -66,8 +66,8 @@ DELTA_FACTOR = 2.0 / 3.0
 
 
 class EngineError(RuntimeError):
-    """Raised when a run cannot produce a feasible layout at all, or loses a
-    replication to a worker that raised or died."""
+    """Raised when no replication reaches a positive radius, when the best
+    layout fails verification, or when a worker raises or dies."""
 
 
 @dataclass
@@ -283,32 +283,14 @@ def _replication_job(
         return run_replication(instance, config, replication_rng(config.seed, replication))
 
 
-def _fallback_layout(instance: Instance, n: int) -> Layout:
-    """n coincident centres at the first candidate point with a positive
-    corrected radius, so the layout verifies at tolerance zero."""
-    candidates = [
-        (0.999999 * math.cos(a), 0.999999 * math.sin(a))
-        for a in np.linspace(0.0, TWO_PI, 720, endpoint=False)
-    ]
-    for step in np.linspace(-0.9, 0.9, 19):
-        for other in np.linspace(-0.9, 0.9, 19):
-            candidates.append((float(step), float(other)))
-    for x, y in candidates:
-        if correct_radius(np.array([[x, y]]), instance) > 0.0:
-            return Layout(np.tile([x, y], (n, 1)), 0.0)
-    raise EngineError(
-        "no candidate point on the fallback grid clears every prohibited disk, "
-        "so no zero-radius layout was found"
-    )
-
-
 def run(instance: Instance, config: FssConfig, workers: int = 1) -> RunReport:
     """All replications; the best corrected layout over every restart wins.
 
     Ties on radius go to the lowest replication index, so the outcome is
-    independent of worker scheduling.  A replication that raises in a
-    worker, or a worker that dies, ends the run with an `EngineError`
-    naming the replication(s) lost.
+    independent of worker scheduling.  The winner has a positive radius and
+    verifies at tolerance zero, or the run raises `EngineError`; so does a
+    replication that raises in a worker, or a worker that dies, naming the
+    replication(s) lost.
     """
     started = time.perf_counter()
     outcomes: dict[int, tuple[Layout, list[IterationTrace]]] = {}
@@ -351,7 +333,7 @@ def run(instance: Instance, config: FssConfig, workers: int = 1) -> RunReport:
             best_rep, best_layout = rep, layout
 
     if best_layout.radius <= 0.0:
-        best_layout = _fallback_layout(instance, config.n)
+        raise EngineError("no replication reached a positive radius")
 
     report = verify_layout(best_layout, instance, 0.0)
     if not report.feasible:

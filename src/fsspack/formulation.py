@@ -21,9 +21,9 @@ containment in the unit disk, separation of circle pairs, and clearance
 from prohibited disks.
 
 Each evaluation views the variables as one complex point array: the n
-centres x + iy, then the origin, then the centre of the disk of each
-clearance row.  Every row is then a single form over two entries a and
-b of that array:
+centres x + iy, then the origin, then the centre of each prohibited disk
+once.  Every row is then a single form over two entries a and b of that
+array:
 
     g = sign * (|p_a - p_b|^2 - (alpha + beta*R)^2)
 
@@ -161,14 +161,14 @@ class NlpProblem:
         )
         self.m = m = len(self.row_ids)
 
-        # The point array after the n centres: the origin, then the disk of
-        # each clearance row, as interleaved (x, y).
-        self._fixed = np.concatenate(([0.0, 0.0], instance.prohibited_centers()[f].ravel()))
+        # The point array after the n centres: the origin, then each disk
+        # centre, as interleaved (x, y).
+        self._fixed = np.concatenate(([0.0, 0.0], instance.prohibited_centers().ravel()))
 
         # Ends a and b of every row, and its alpha, beta and sign.
         q = len(circle_pairs)
         self._ia = np.concatenate((np.arange(n), circle_pairs[:, 0], circle))
-        self._ib = np.concatenate((np.full(n, n), circle_pairs[:, 1], n + 1 + np.arange(m - n - q)))
+        self._ib = np.concatenate((np.full(n, n), circle_pairs[:, 1], n + 1 + f))
         self._alpha = np.concatenate((np.ones(n), np.zeros(q), instance.prohibited_radii()[f]))
         self._beta = np.concatenate((np.full(n, -1.0), np.full(q, 2.0), np.ones(m - n - q)))
         self._sign = np.concatenate((np.full(n, -1.0), np.ones(m - n)))

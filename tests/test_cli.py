@@ -6,7 +6,9 @@ from decimal import Decimal
 
 import pytest
 
+from fsspack import cli
 from fsspack.cli import main
+from fsspack.engine import EngineError
 from fsspack.geometry import load_layout, verify_layout
 from fsspack.instances import builtin_instance, save_instance
 
@@ -122,6 +124,45 @@ def test_run_usage_errors(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+COVERED = '{"name": "covered", "prohibited": [{"x": "0", "y": "0", "r": "1.5"}]}'
+
+
+def test_run_without_a_positive_radius_exits_1(tmp_path, capsys):
+    # A disk covering the container leaves no room: one error line, no
+    # layout, and the run's exit code, not a traceback.
+    problem = tmp_path / "covered.json"
+    problem.write_text(COVERED)
+    out = tmp_path / "res"
+    assert run_cli("run", "--problem", str(problem), "--n", "2", "--out", str(out), *BUDGET) == 1
+    err = capsys.readouterr().err
+    assert err == "error: covered n=2: no replication reached a positive radius\n"
+    assert not (out / "covered-n2.json").exists()
+    assert read_json(out / "results.json") == []
+
+
+def test_a_failed_size_leaves_the_others_written(tmp_path, capsys, monkeypatch):
+    def run_but_lose_n2(instance, config, workers=1):
+        if config.n == 2:
+            raise EngineError("a worker process died; replications 0, 1 did not finish")
+        return real_run(instance, config, workers=workers)
+
+    real_run = cli.run
+    monkeypatch.setattr(cli, "run", run_but_lose_n2)
+    out = tmp_path / "res"
+    assert run_cli("run", "--problem", "2", "--n", "2,3", "--out", str(out), *BUDGET) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: problem2 n=2: a worker process died; replications 0, 1 did not finish\n"
+    )
+    assert not (out / "problem2-n2.json").exists()
+    layout, _ = load_layout(out / "problem2-n3.json")
+    assert verify_layout(layout, builtin_instance(2), 0.0).feasible
+    assert [row["n"] for row in read_json(out / "results.json")] == [3]
+    with open(out / "results.csv", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert [row[2] for row in rows[1:]] == ["3"]
+
+
 def layout_fixture(tmp_path):
     out = tmp_path / "res"
     code = run_cli("run", "--problem", "2", "--n", "2", "--out", str(out), *BUDGET)
@@ -213,7 +254,9 @@ def test_unwritable_outputs_are_usage_errors(tmp_path, capsys, command):
 
 COLD_START = """
 import sys
+from fsspack import cli
 from fsspack.cli import main
+from fsspack.engine import EngineError
 
 layout, out = sys.argv[1:]
 assert main(["verify", layout, "--report", out + "/report.json"]) == 0

@@ -84,7 +84,7 @@ def test_initial_layout_draw_order():
     assert np.array_equal(lay.centers, want)
 
 
-def test_assignment_boundary_is_cartesian():
+def test_assignment_boundary_is_boxed():
     free = random_assignment(StubRng([0.5, 0.5000000001, 0.0, 0.7]), 4)
     assert free.dtype == bool
     assert free.tolist() == [False, True, False, True]
@@ -337,26 +337,32 @@ def test_run_returns_a_verified_layout_or_raises(instance, n, seed):
     except EngineError:
         return
     assert report.best_layout.n == n
-    assert report.best_radius == report.best_layout.radius >= 0.0
+    assert report.best_radius == report.best_layout.radius > 0.0
     assert verify_layout(report.best_layout, instance, 0.0).feasible
 
 
-def test_fallback_layout_on_hopeless_geometry():
-    # A prohibited disk nearly as large as the container leaves almost
-    # nothing; even when every solve collapses, the run must still hand
-    # back a verified layout.
+def test_run_packs_a_nearly_covered_container():
+    # A prohibited disk nearly as large as the container leaves only a
+    # thin ring, and the search still packs it at a positive radius.
     inst = Instance("tight", [ProhibitedCircle(CartesianPoint(0.0, 0.0), 0.995)])
     cfg = FssConfig(n=2, iterations=1, replications=1, seed=0)
     report = run(inst, cfg)
+    assert report.best_radius > 0.0
     assert verify_layout(report.best_layout, inst, 0.0).feasible
 
 
-def test_fallback_layout_reports_a_missed_ring():
-    # The ring 0.9999995 < |c| < 1 is feasible, but every fallback
-    # candidate lies inside the disk or on the 0.999999 circle.
+def test_run_packs_a_thin_ring():
+    # The free ring 0.9999995 < |c| < 1 is 5e-7 wide.
     inst = Instance("thin-ring", [ProhibitedCircle(CartesianPoint(0.0, 0.0), 0.9999995)])
-    with pytest.raises(EngineError, match="fallback grid"):
-        engine._fallback_layout(inst, 2)
+    report = run(inst, FssConfig(n=2, iterations=1, replications=1, seed=0))
+    assert report.best_radius > 0.0
+    assert verify_layout(report.best_layout, inst, 0.0).feasible
+
+
+def test_run_raises_when_a_disk_covers_the_container():
+    inst = Instance("covered", [ProhibitedCircle(CartesianPoint(0.0, 0.0), 1.5)])
+    with pytest.raises(EngineError, match="no replication reached a positive radius"):
+        run(inst, FssConfig(n=2, iterations=1, replications=1, seed=0))
 
 
 def blas_threads():
