@@ -100,6 +100,8 @@ class IterationTrace:
     merit_calls: int
     # Inner rounds of the solve that stopped at the iteration cap.
     capped_rounds: int
+    # KKT residual at the solve's final point (SolverResult.stationarity).
+    stationarity: float
     elapsed: float
 
 
@@ -190,6 +192,7 @@ def run_replication(
                 outer_rounds=result.outer_iterations,
                 merit_calls=result.merit_calls,
                 capped_rounds=result.capped_rounds,
+                stationarity=result.stationarity,
                 elapsed=time.perf_counter() - tic,
             )
         )

@@ -35,7 +35,11 @@ so one gather d = p_a - p_b serves every row's value and derivatives.
 The weighted partials 2*sign*w*d are summed per circle by one
 np.bincount over interleaved (x, y) targets, end a with its weight and
 end b (a circle only in separation rows) with the weight negated,
-straight into the variable layout.
+straight into the variable layout.  Every row is a quadratic in the
+centres and R, so the Hessian of the Lagrangian does not depend on the
+point: NlpProblem.lagrangian_hessian sums each row's weighted -2*sign
+onto the diagonal at the same targets, and its negation between the
+two ends of a separation row, by one np.bincount into the flat matrix.
 
 Every row also has an identity that outlives the program: row_ids
 numbers containment of circle i as i, the pair {i, j} (i < j) as
@@ -182,6 +186,14 @@ class NlpProblem:
         self._pair_part = slice(2 * n, 2 * (n + q))
         ends = np.concatenate((self._ia, self._ib[n : n + q]))
         self._scatter = np.column_stack((1 + 2 * ends, 2 + 2 * ends)).ravel()
+        # Flat (row-major) Hessian entries the same partials land on: the
+        # diagonal at every scatter target, then both off-diagonal blocks
+        # (a, b) and (b, a) of the pair rows.
+        nv = self.nv
+        pair_a, pair_b = self._scatter[self._pair_part], self._scatter[2 * m :]
+        self._hessian_index = np.concatenate(
+            (self._scatter * (nv + 1), pair_a * nv + pair_b, pair_b * nv + pair_a)
+        )
 
     # -- evaluation -----------------------------------------------------
 
@@ -272,6 +284,24 @@ class NlpProblem:
     def lagrangian_gradient(self, z: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
         """Gradient of -R - multipliers @ g at z."""
         return self._gradient(*self._rows(z), multipliers)
+
+    def lagrangian_hessian(self, multipliers: np.ndarray) -> np.ndarray:
+        """Hessian of -R - multipliers @ g, as a dense (nv, nv) array.
+
+        Every row is a quadratic in the centres and R, so the Hessian
+        does not depend on the point: a row adds its weighted pull to the
+        diagonal of both centre ends and subtracts it between them, and
+        its radius slope times beta to the (R, R) entry.
+        """
+        c = np.repeat(multipliers * self._pull, 2)
+        pair = c[self._pair_part]
+        hessian = np.bincount(
+            self._hessian_index,
+            weights=np.concatenate((c, pair, -pair, -pair)),
+            minlength=self.nv * self.nv,
+        ).astype(float, copy=False)
+        hessian[0] = -multipliers @ (self._radius_slope * self._beta)
+        return hessian.reshape(self.nv, self.nv)
 
     def linear_violations(self, z: np.ndarray) -> np.ndarray:
         """Signed violations in distance units, canonical order.

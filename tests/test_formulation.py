@@ -470,6 +470,40 @@ def test_merit_gradient_matches_jacobian():
     assert np.allclose(p.lagrangian_gradient(z, multipliers), want, rtol=0.0, atol=1e-12)
 
 
+def test_lagrangian_hessian_matches_central_differences():
+    # Random programs in the style of C6: 2-5 circles, each boxed or free,
+    # 0-3 disks, random nonnegative multipliers, some of them zero.  The
+    # Hessian is constant, so central differences of the gradient are
+    # exact up to rounding; it must also be symmetric.
+    rng = np.random.default_rng(91)
+    h = 1e-6
+    disks_seen = set()
+    for _ in range(60):
+        n, k = int(rng.integers(2, 6)), int(rng.integers(0, 4))
+        disks_seen.add(k)
+        inst = Instance(
+            "random",
+            [disk(*rng.uniform(-0.5, 0.5, size=2), rng.uniform(0.05, 0.2)) for _ in range(k)],
+        )
+        centers = rng.uniform(-0.6, 0.6, size=(n, 2))
+        p = build_simple(rng.random(n) >= 0.5, centers, inst, delta=0.5, r_cap=0.7)
+        z = p.pack_start(centers, rng.uniform(0.05, 0.3))
+        multipliers = rng.exponential(1.0, p.m) * (rng.random(p.m) < 0.8)
+        hessian = p.lagrangian_hessian(multipliers)
+        assert hessian.shape == (p.nv, p.nv)
+        assert np.array_equal(hessian, hessian.T)
+        for col in range(p.nv):
+            zp, zm = z.copy(), z.copy()
+            zp[col] += h
+            zm[col] -= h
+            fd = (p.lagrangian_gradient(zp, multipliers) - p.lagrangian_gradient(zm, multipliers))
+            fd /= 2 * h
+            scale = np.maximum(1.0, np.maximum(np.abs(hessian[:, col]), np.abs(fd)))
+            worst = np.max(np.abs(hessian[:, col] - fd) / scale)
+            assert worst < 1e-6, f"column {col}"
+    assert disks_seen == {0, 1, 2, 3}
+
+
 def test_program_without_pairs_or_disks():
     # Both pair families empty: only containment rows, one of them free.
     centers = np.array([[0.2, -0.1], [-0.3, 0.4]])

@@ -1,11 +1,14 @@
 """Augmented Lagrangian solver on problems with known optima."""
 
+import copy
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
 from fsspack import engine, solver
-from fsspack.engine import FssConfig, replication_rng, run_replication
+from fsspack.engine import FssConfig, replication_rng, run, run_replication
 from fsspack.formulation import EvaluationError, NlpProblem, build_nlp, row_id_count
 from fsspack.geometry import (
     CartesianPoint,
@@ -122,7 +125,7 @@ def test_annular_single_circle_matches_scan_oracle(monotone_merit):
     assert corrected == pytest.approx(want, abs=1e-7)
 
 
-def test_polar_formulation_reaches_the_same_optimum(monotone_merit):
+def test_free_circle_reaches_the_same_optimum(monotone_merit):
     hole = 0.2
     inst = Instance("hole", [ProhibitedCircle(CartesianPoint(0.0, 0.0), hole)])
     centers = np.array([[0.55, 0.1]])
@@ -452,7 +455,7 @@ def projected_lagrangian_gradient(problem, z, multipliers):
     return np.max(np.abs(z - np.clip(z - grad, problem.lower, problem.upper)))
 
 
-def test_warm_start_survives_a_coordinate_flip():
+def test_warm_start_survives_a_mask_flip():
     # Solve, then re-pose the program with every circle's coordinates
     # flipped, as the search does to some circles each iteration.  A row
     # is the same function of the centres in either posing, so the exit
@@ -511,3 +514,201 @@ def test_capped_rounds_count_the_inner_rounds_at_the_iteration_cap(monkeypatch):
     assert max(iterations) == solver._MAX_INNER
     assert traces[0].capped_rounds == iterations.count(solver._MAX_INNER) > 0
     assert len(iterations) == traces[0].outer_rounds
+
+
+# --- the active-set polish ----------------------------------------------------
+
+HOLE = Instance("hole", [ProhibitedCircle(CartesianPoint(0.0, 0.0), 0.2)])
+# (centres, instance, exact optimum): two and three circles in the empty
+# disk, one circle in the annulus around a central hole of radius 0.2.
+POLISHED = {
+    "n2": ([(0.4, 0.1), (-0.3, -0.2)], EMPTY, 0.5),
+    "n3": ([(0.4, 0.1), (-0.3, -0.2), (0.0, 0.5)], EMPTY, 2.0 * math.sqrt(3.0) - 3.0),
+    "annulus": ([(0.55, 0.1)], HOLE, 0.4),
+}
+
+
+def recording_polish(monkeypatch, wrap=None):
+    """Record whether each polish the solver tries is accepted."""
+    real = solver.polish
+    accepted = []
+
+    def recording(*args):
+        outcome = (wrap or real)(*args)
+        accepted.append(outcome is not None)
+        return outcome
+
+    monkeypatch.setattr(solver, "polish", recording)
+    return accepted
+
+
+def without_polish(monkeypatch, problem, start):
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "polish", lambda *args: None)
+        return solve(problem, start)
+
+
+def outcome(res):
+    return (
+        res.point.tobytes(), res.multipliers.tobytes(), res.status, res.outer_iterations,
+        res.merit_calls, res.capped_rounds, res.max_constraint_violation, res.stationarity,
+    )
+
+
+@pytest.mark.parametrize("free", [False, True])
+@pytest.mark.parametrize("case", sorted(POLISHED))
+def test_polish_finishes_small_packings_exactly(monkeypatch, case, free):
+    # Without the polish these solves stop at the stall exit or the
+    # loop's own 1e-8 test; with it they end on the exact optimum.  One
+    # circle in the empty disk is not here: see
+    # test_a_rejected_polish_leaves_the_solve_as_it_was.
+    centers, inst, want = POLISHED[case]
+    centers = np.array(centers)
+    p = build_for(centers, np.full(len(centers), free), inst)
+    accepted = recording_polish(monkeypatch)
+    res = solve(p, p.pack_start(centers, 0.05))
+    assert accepted[-1]
+    assert res.status == CONVERGED
+    assert abs(correct_radius(p.extract_centers(res.point), inst) - want) <= 1e-12
+    assert res.max_constraint_violation <= solver._POLISH_VIOLATION
+    assert res.stationarity <= solver._KKT_TOL
+    # Multipliers are nonnegative, and zero off the rows at the optimum.
+    assert (res.multipliers >= 0.0).all()
+    assert (res.multipliers[p.constraint_values(res.point) > 1e-9] == 0.0).all()
+
+
+def test_the_polished_stationarity_is_the_kkt_residual_of_the_exit(monkeypatch):
+    centers, inst, _ = POLISHED["n3"]
+    centers = np.array(centers)
+    p = build_for(centers, mask(3, 1), inst)
+    res = solve(p, p.pack_start(centers, 0.05))
+    assert res.status == CONVERGED
+    grad = p.lagrangian_gradient(res.point, res.multipliers)
+    projected = res.point - np.clip(res.point - grad, p.lower, p.upper)
+    complementarity = np.minimum(p.constraint_values(res.point), res.multipliers)
+    assert res.stationarity == np.max(np.abs(np.concatenate((projected, complementarity))))
+    assert res.max_constraint_violation == max(np.max(p.linear_violations(res.point)), 0.0)
+    # The loop's own exits report the residual at their last candidate
+    # multipliers; a solve whose first round fails has none.
+    loop = without_polish(monkeypatch, p, p.pack_start(centers, 0.05))
+    assert 0.0 < loop.stationarity < math.inf
+    real = p.augmented_lagrangian
+    p.augmented_lagrangian = lambda *args: (math.nan, real(*args)[1])
+    failed = solve(p, p.pack_start(centers, 0.05))
+    assert failed.status == NUMERICAL_FAILURE and failed.stationarity == math.inf
+
+
+def narrowed(real):
+    """The real polish, on a copy of the program whose bounds are one ulp
+    either side of z: every variable is still an unknown, so the Newton
+    steps are the same, but any move leaves the box."""
+
+    def polish(problem, z, *args):
+        assert real(problem, z, *args) is not None
+        tight = copy.copy(problem)
+        tight.lower, tight.upper = np.nextafter(z, -np.inf), np.nextafter(z, np.inf)
+        return real(tight, z, *args)
+
+    return polish
+
+
+def _raises(*args, **kwargs):
+    raise np.linalg.LinAlgError("poisoned")
+
+
+def _not_a_number(a, b, rcond=None):
+    return np.full(a.shape[1], np.nan), np.empty(0), 0, np.empty(0)
+
+
+@pytest.mark.parametrize(
+    "cause", ["lstsq raises", "lstsq gives NaN", "the point leaves the box", "linear Newton"]
+)
+def test_a_rejected_polish_leaves_the_solve_as_it_was(monkeypatch, cause):
+    # A polish that fails in any way changes nothing: the solve goes on
+    # exactly as with the polish stubbed out.  The last cause is real: one
+    # circle in the empty disk ends at R = r_cap = 1 with its centre at the
+    # origin, where the containment row's gradient vanishes, so each
+    # Newton step only halves the centre and the multiplier, and the
+    # residual misses the tolerance after _POLISH_STEPS steps.  That solve
+    # ends by the loop's own test.
+    if cause == "linear Newton":
+        centers, inst = np.array([[0.3, 0.2]]), EMPTY
+    else:
+        centers, inst = np.array(POLISHED["n3"][0]), EMPTY
+    p = build_for(centers, np.ones(len(centers), dtype=bool), inst)
+    start = p.pack_start(centers, 0.05)
+    wrap = None
+    if cause == "lstsq raises":
+        monkeypatch.setattr(np.linalg, "lstsq", _raises)
+    elif cause == "lstsq gives NaN":
+        monkeypatch.setattr(np.linalg, "lstsq", _not_a_number)
+    elif cause == "the point leaves the box":
+        wrap = narrowed(solver.polish)
+    accepted = recording_polish(monkeypatch, wrap)
+    res = solve(p, start)
+    assert accepted and not any(accepted)
+    assert outcome(res) == outcome(without_polish(monkeypatch, p, start))
+    if cause == "linear Newton":
+        assert res.status == CONVERGED
+        assert correct_radius(p.extract_centers(res.point), inst) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("inst", [builtin_instance(2), builtin_instance(1, 11)])
+def test_polish_never_lowers_a_search(monkeypatch, inst):
+    config = FssConfig(n=10, iterations=10, replications=3, seed=1)
+    polished = run(inst, config)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "polish", lambda *args: None)
+        plain = run(inst, config)
+    assert polished.best_radius >= plain.best_radius
+    statuses = [t.status for trace in polished.traces for t in trace]
+    assert statuses.count(CONVERGED) > statuses.count(ITERATION_LIMIT)
+    converged = [t for trace in polished.traces for t in trace if t.status == CONVERGED]
+    assert all(t.stationarity <= solver._KKT_TOL for t in converged)
+
+
+def test_polish_is_tried_once_per_active_set_seen_twice_in_a_row(monkeypatch):
+    # The estimated active set of a round: rows within _ACTIVE_TOL of
+    # binding, at a positive candidate multiplier.  The polish is tried
+    # after a round whose set matches the round before and has not been
+    # tried yet, on that round's point and candidate multipliers.
+    rng = np.random.default_rng(2)
+    centers = rng.uniform(-0.5, 0.5, size=(6, 2))
+    inst = Instance("d", [ProhibitedCircle(CartesianPoint(0.1, -0.2), 0.15)])
+    p = build_for(centers, mask(6, 1, 3, 5), inst, delta=0.3)
+    real = p.outer_update
+    rounds = []
+
+    def recording(z, multipliers, penalty):
+        out = real(z, multipliers, penalty)
+        _, violations, candidate, _ = out
+        active = (np.abs(violations) <= solver._ACTIVE_TOL) & (candidate > 0.0)
+        rounds.append((z.copy(), candidate, active))
+        return out
+
+    tried = []
+
+    def stub(problem, z, violation, multipliers, active):
+        assert problem is p
+        tried.append((len(rounds), z.copy(), multipliers.copy(), active.copy()))
+
+    p.outer_update = recording
+    monkeypatch.setattr(solver, "polish", stub)
+    res = solve(p, p.pack_start(centers, 0.1))
+    assert len(rounds) == res.outer_iterations > 3
+    want, sets, repeats = [], [], 0
+    for r in range(1, len(rounds)):
+        z, mu, active = rounds[r]
+        if np.array_equal(active, rounds[r - 1][2]):
+            if any(np.array_equal(active, a) for a in sets):
+                repeats += 1
+            else:
+                sets.append(active)
+                want.append((r + 1, z, mu, active))
+    # Two sets were tried, and some set came back without a second try.
+    assert len(want) >= 2 and repeats > 0
+    assert len(tried) == len(want)
+    for (r, z, mu, active), (r_want, z_want, mu_want, active_want) in zip(tried, want):
+        assert r == r_want
+        assert np.array_equal(z, z_want) and np.array_equal(mu, mu_want)
+        assert np.array_equal(active, active_want)
