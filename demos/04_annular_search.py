@@ -19,10 +19,14 @@ def main() -> None:
     print(f"best radius {format_radius(report.best_radius)} "
           f"from replication {report.replication_of_best} "
           f"in {report.total_elapsed:.1f}s")
+    # A replication stops early once a solve hands back its start.
+    print(f"{report.nlp_solves} solves run of a budget of "
+          f"{config.iterations * config.replications}")
 
     for rep_index, traces in enumerate(report.traces):
         tail = traces[-1]
-        print(f"  replication {rep_index}: best {format_radius(tail.r_best)}")
+        print(f"  replication {rep_index}: best {format_radius(tail.r_best)} "
+              f"after {len(traces)} solves")
 
     out_dir = Path(__file__).parent / "out"
     out_dir.mkdir(exist_ok=True)

@@ -206,7 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--problem", required=True, help="bundled id 1..6 or instance file path")
     p_run.add_argument("--fcount", type=int, default=None, help="truncate problem 1 to 4..11 disks")
     p_run.add_argument("--n", required=True, help="circle count, or comma list like 5,10,20")
-    p_run.add_argument("--iterations", type=int, default=80, help="iterations per replication")
+    p_run.add_argument(
+        "--iterations", type=int, default=80, help="at most this many iterations per replication"
+    )
     p_run.add_argument("--replications", type=int, default=25, help="independent restarts")
     p_run.add_argument("--seed", type=int, default=0, help="base seed for the replication streams")
     p_run.add_argument("--out", default="results", help="output directory")

@@ -26,6 +26,16 @@ to zero after a solve that ended in a numerical failure, and after an
 iteration whose corrected radius is 0: neither leaves an active set worth
 keeping.
 
+A replication ends early at a fixed point of the search: after a solve
+that ends converged, at a positive corrected radius, and hands back the
+very centres it started from, bit for bit.  Each boxed centre started
+at the middle of a box of half-width DELTA_FACTOR * r* > 0, so it lies
+strictly inside its box, and every pruned row is slack there: the point
+is a KKT point of the all-free program, and no posing the coin can draw
+moves it.  So FssConfig.iterations is a cap, and the paper's fixed
+iteration count is not kept.  A numerical failure also keeps the
+centres, but proves nothing, and the search goes on.
+
 Replications are independent restarts.  Each draws its randomness from a
 counter-based stream keyed by (seed, replication index), so any subset of
 replications can be reproduced, serially or in parallel.  When none
@@ -54,7 +64,7 @@ import numpy as np
 
 from .formulation import build_nlp, prune_pairs, row_id_count
 from .geometry import Instance, Layout, TWO_PI, correct_radius, radius_upper_bound, verify_layout
-from .solver import NUMERICAL_FAILURE, load_optimizer, solve
+from .solver import CONVERGED, NUMERICAL_FAILURE, load_optimizer, solve
 
 # A seed fills one 64-bit word of the generator's key, so FssConfig
 # accepts only seeds in [0, SEED_LIMIT).
@@ -72,7 +82,11 @@ class EngineError(RuntimeError):
 
 @dataclass
 class FssConfig:
-    """Search budget and randomness for one problem size."""
+    """Search budget and randomness for one problem size.
+
+    iterations caps the solves of one replication, which ends sooner at
+    a fixed point of the search (see the module docstring).
+    """
 
     n: int
     iterations: int = 80
@@ -112,6 +126,8 @@ class RunReport:
     replication_of_best: int
     traces: list[list[IterationTrace]]
     total_elapsed: float
+    # Solves actually run: one per trace entry, at most
+    # iterations * replications.
     nlp_solves: int
 
 
@@ -148,7 +164,8 @@ def random_assignment(rng: np.random.Generator, n: int) -> np.ndarray:
 def run_replication(
     instance: Instance, config: FssConfig, rng: np.random.Generator
 ) -> tuple[Layout, list[IterationTrace]]:
-    """One restart: the full iteration loop from a fresh random layout."""
+    """One restart from a fresh random layout: config.iterations solves,
+    or fewer when one ends at a fixed point of the search."""
     n = config.n
     r_cap = radius_upper_bound(instance, n)
     current = random_initial_layout(rng, n)
@@ -178,6 +195,11 @@ def run_replication(
         carried[:] = 0.0
         if result.status != NUMERICAL_FAILURE and r_star > 0.0:
             carried[problem.row_ids] = result.multipliers
+        fixed_point = (
+            result.status == CONVERGED
+            and r_star > 0.0
+            and new_centers.tobytes() == current.centers.tobytes()
+        )
         current = Layout(new_centers, r_star)
         if r_star > best.radius:
             best = current
@@ -196,6 +218,9 @@ def run_replication(
                 elapsed=time.perf_counter() - tic,
             )
         )
+        if fixed_point:
+            # No posing the coin can draw would move it.
+            break
         free = random_assignment(rng, n)
 
     return best, traces
@@ -345,11 +370,12 @@ def run(instance: Instance, config: FssConfig, workers: int = 1) -> RunReport:
             f"{report.worst()} in {report.describe_worst()}"
         )
 
+    traces = [outcomes[rep][1] for rep in range(config.replications)]
     return RunReport(
         best_layout=best_layout,
         best_radius=best_layout.radius,
         replication_of_best=best_rep,
-        traces=[outcomes[rep][1] for rep in range(config.replications)],
+        traces=traces,
         total_elapsed=time.perf_counter() - started,
-        nlp_solves=config.iterations * config.replications,
+        nlp_solves=sum(len(trace) for trace in traces),
     )

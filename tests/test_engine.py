@@ -34,7 +34,7 @@ from fsspack.geometry import (
     verify_layout,
 )
 from fsspack.instances import builtin_instance, instance_from_name
-from fsspack.solver import NUMERICAL_FAILURE
+from fsspack.solver import CONVERGED, ITERATION_LIMIT, NUMERICAL_FAILURE
 from strategies import drawn_instances
 
 EMPTY = Instance("empty", [])
@@ -123,10 +123,14 @@ def test_replication_is_deterministic():
     assert [t.r_star for t in tr1] == [t.r_star for t in tr2]
 
 
-def test_replication_traces_are_coherent():
+def test_replication_traces_are_coherent(monkeypatch):
     inst = builtin_instance(2)
     cfg = FssConfig(n=3, iterations=5, replications=1, seed=2)
     r_cap = radius_upper_bound(inst, 3)
+    # Left alone, this replication stops at a fixed point after its
+    # second solve; the checks below are about the later iterations, so
+    # the loop is held open to its full length.
+    recording_solve(monkeypatch, converged_as_limit=True)
     lay, traces = run_replication(inst, cfg, replication_rng(2, 0))
     assert len(traces) == 5
     assert [t.iteration for t in traces] == list(range(5))
@@ -189,6 +193,17 @@ def test_trace_merit_calls_count_every_merit_evaluation(monkeypatch):
     assert all(1 <= step.outer_rounds <= 50 for step in steps)
 
 
+def search_cases():
+    """Two searches at n = 10, and one at n = 20 that boxes circles after
+    its first solve."""
+    n10 = FssConfig(n=10, iterations=10, replications=3, seed=1)
+    return [
+        (instance_from_name("problem2"), n10),
+        (instance_from_name("problem1-f11"), n10),
+        (instance_from_name("problem6"), FssConfig(n=20, iterations=4, replications=1, seed=2)),
+    ]
+
+
 def test_the_no_step_shortcut_leaves_every_search_bit_identical(monkeypatch):
     # solver.minimize answers a round without scipy when L-BFGS-B would
     # not move from its start.  Calling scipy in every round instead must
@@ -203,12 +218,7 @@ def test_the_no_step_shortcut_leaves_every_search_bit_identical(monkeypatch):
         scipy_calls.append(1)
         return real(*args, **kwargs)
 
-    n10 = FssConfig(n=10, iterations=10, replications=3, seed=1)
-    cases = [
-        (instance_from_name("problem2"), n10),
-        (instance_from_name("problem1-f11"), n10),
-        (instance_from_name("problem6"), FssConfig(n=20, iterations=4, replications=1, seed=2)),
-    ]
+    cases = search_cases()
 
     def outcomes():
         reports = [run(instance, config) for instance, config in cases]
@@ -235,11 +245,13 @@ def test_the_no_step_shortcut_leaves_every_search_bit_identical(monkeypatch):
     assert shortcut == direct
 
 
-def recording_solve(monkeypatch, fail_at=(), zero_radius_at=()):
+def recording_solve(monkeypatch, fail_at=(), zero_radius_at=(), converged_as_limit=False):
     """Record the multipliers every solve is handed, and its result.
 
     Iterations in fail_at report a numerical failure; in zero_radius_at
-    the corrected radius reads 0.
+    the corrected radius reads 0.  With converged_as_limit, a converged
+    solve reports iteration_limit instead, so no replication stops at a
+    fixed point and the loop runs to its cap.
     """
     seen, results = [], []
     real_solve, real_correct = engine.solve, engine.correct_radius
@@ -247,6 +259,8 @@ def recording_solve(monkeypatch, fail_at=(), zero_radius_at=()):
     def recording(problem, start, multipliers=None):
         seen.append(np.array(multipliers, dtype=float))
         result = real_solve(problem, start, multipliers)
+        if converged_as_limit and result.status == CONVERGED:
+            result = dataclasses.replace(result, status=ITERATION_LIMIT)
         if len(seen) - 1 in fail_at:
             result = dataclasses.replace(result, status=NUMERICAL_FAILURE)
         results.append(result)
@@ -261,7 +275,9 @@ def recording_solve(monkeypatch, fail_at=(), zero_radius_at=()):
 
 
 def test_multipliers_start_cold_after_a_failure_or_a_zero_radius(monkeypatch):
-    seen, _ = recording_solve(monkeypatch, fail_at={2}, zero_radius_at={4})
+    seen, _ = recording_solve(
+        monkeypatch, fail_at={2}, zero_radius_at={4}, converged_as_limit=True
+    )
     cfg = FssConfig(n=3, iterations=7, replications=1, seed=4)
     run_replication(builtin_instance(2), cfg, replication_rng(4, 0))
     cold = [not m.any() for m in seen]
@@ -274,7 +290,7 @@ def test_multipliers_start_cold_after_a_failure_or_a_zero_radius(monkeypatch):
 def test_single_circle_fills_the_empty_disk_with_finite_multipliers(monkeypatch):
     # At R = 1 the Cartesian containment row's dg/dh, 2*(1 - R), is 0:
     # its multiplier cannot be carried, and must not blow up either.
-    seen, results = recording_solve(monkeypatch)
+    seen, results = recording_solve(monkeypatch, converged_as_limit=True)
     cfg = FssConfig(n=1, iterations=6, replications=1, seed=0)
     layout, _ = run_replication(EMPTY, cfg, replication_rng(0, 0))
     # The first solve, Cartesian, exits at R = 1 on a positive multiplier.
@@ -284,11 +300,105 @@ def test_single_circle_fills_the_empty_disk_with_finite_multipliers(monkeypatch)
     assert layout.radius == pytest.approx(1.0, abs=1e-3)
 
 
+STOP_AT = 2
+
+
+@pytest.mark.parametrize(
+    "forced, fail_at, zero_radius_at, solves",
+    [
+        # A converged solve that hands back its start ends the replication.
+        (("start", CONVERGED), (), (), STOP_AT + 1),
+        # One that moved a coordinate by one ulp does not.
+        (("nudged", CONVERGED), (), (), 5),
+        (("start", ITERATION_LIMIT), (), (), 5),
+        # A numerical failure keeps the old centres, but proves nothing.
+        (None, {STOP_AT}, (), 5),
+        (("start", CONVERGED), (), {STOP_AT}, 5),
+    ],
+    ids=["converged-at-start", "converged-moved", "iteration-limit",
+         "numerical-failure", "zero-radius"],
+)
+def test_a_replication_stops_only_at_a_fixed_point(
+    monkeypatch, forced, fail_at, zero_radius_at, solves
+):
+    # Every other solve reports iteration_limit, so only the one forced
+    # at STOP_AT can end the replication.
+    seen, _ = recording_solve(
+        monkeypatch, fail_at=fail_at, zero_radius_at=zero_radius_at, converged_as_limit=True
+    )
+    inner = engine.solve
+
+    def forcing(problem, start, multipliers=None):
+        result = inner(problem, start, multipliers)
+        if forced is not None and len(seen) - 1 == STOP_AT:
+            point, status = start.copy(), forced[1]
+            if forced[0] == "nudged":
+                point[-1] = np.nextafter(point[-1], np.inf)
+            result = dataclasses.replace(result, point=point, status=status)
+        return result
+
+    monkeypatch.setattr(engine, "solve", forcing)
+    cfg = FssConfig(n=3, iterations=5, replications=1, seed=4)
+    _, traces = run_replication(builtin_instance(2), cfg, replication_rng(4, 0))
+    assert len(traces) == len(seen) == solves
+
+
+def test_nlp_solves_counts_the_solves_run(monkeypatch):
+    # Each replication ends on its first converged solve, at a positive
+    # radius, that hands back its start bit for bit, or at the cap.
+    calls = []
+    real_solve = engine.solve
+
+    def recording(problem, start, multipliers=None):
+        result = real_solve(problem, start, multipliers)
+        unchanged = (
+            problem.extract_centers(result.point).tobytes()
+            == problem.extract_centers(start).tobytes()
+        )
+        calls.append(result.status == CONVERGED and unchanged)
+        return result
+
+    monkeypatch.setattr(engine, "solve", recording)
+    cfg = FssConfig(n=10, iterations=10, replications=3, seed=1)
+    report = run(instance_from_name("problem2"), cfg)
+    lengths = [len(trace) for trace in report.traces]
+    assert report.nlp_solves == len(calls) == sum(lengths) < cfg.iterations * cfg.replications
+    start = 0
+    for trace in report.traces:
+        fixed = [
+            at_start and t.r_star > 0.0
+            for at_start, t in zip(calls[start:start + len(trace)], trace)
+        ]
+        start += len(trace)
+        assert not any(fixed[:-1])
+        assert fixed[-1] or len(trace) == cfg.iterations
+
+
+def test_the_stop_leaves_every_best_layout_bit_identical(monkeypatch):
+    # The same searches held open to their full length by the status
+    # stub: the solves after the stop move no radius, and the best
+    # radius and centres are the same bit for bit.
+    cases = search_cases()
+    stopped = [run(instance, config) for instance, config in cases]
+    recording_solve(monkeypatch, converged_as_limit=True)
+    full = [run(instance, config) for instance, config in cases]
+    for (_, config), short, long in zip(cases, stopped, full):
+        assert long.nlp_solves == config.iterations * config.replications
+        assert short.nlp_solves < long.nlp_solves
+        assert short.best_radius == long.best_radius
+        assert short.best_layout.centers.tobytes() == long.best_layout.centers.tobytes()
+        assert short.replication_of_best == long.replication_of_best
+        for cut, held in zip(short.traces, long.traces):
+            assert [t.r_star for t in cut] == [t.r_star for t in held[:len(cut)]]
+            assert all(t.r_star == cut[-1].r_star for t in held[len(cut):])
+
+
 def test_run_report_and_feasibility():
     inst = builtin_instance(2)
     cfg = FssConfig(n=2, iterations=3, replications=3, seed=4)
     report = run(inst, cfg)
-    assert report.nlp_solves == 9
+    # Each replication stops at a fixed point after its second solve.
+    assert report.nlp_solves == sum(len(tr) for tr in report.traces) == 6
     assert len(report.traces) == 3
     assert report.best_radius == report.best_layout.radius
     assert report.best_radius > 0.0

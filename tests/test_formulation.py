@@ -47,7 +47,7 @@ def all_pairs(n, k):
 # --- free mask -------------------------------------------------------------
 
 
-def test_polar_mask_is_validated():
+def test_free_mask_is_validated():
     # Integer indices would be read as fancy indexing, not as a mask.
     lay = Layout(np.array([[0.0, 0.0], [0.5, 0.0], [-0.5, 0.0]]), 0.0)
     pairs = all_pairs(3, 0)
@@ -72,7 +72,7 @@ def build_simple(free, centers, instance=EMPTY, delta=2.0, r_cap=1.0, pairs=None
     return build_nlp(instance, free, lay, delta, pairs, r_cap)
 
 
-def test_value_containment_cartesian():
+def test_value_containment_boxed():
     p = build_simple(mask(1), [(0.3, 0.4)])
     z = p.pack_start(np.array([[0.3, 0.4]]), 0.2)
     g = p.constraint_values(z)
@@ -195,7 +195,7 @@ def test_the_mask_changes_only_the_bounds():
 # --- pruning ---------------------------------------------------------------
 
 
-def test_prune_drops_far_cartesian_pair():
+def test_prune_drops_far_boxed_pair():
     lay = Layout(np.array([[-0.9, 0.0], [0.9, 0.0]]), 0.0)
     circle_pairs, _ = prune_pairs(lay, mask(2), 0.01, 0.3, EMPTY)
     assert circle_pairs.shape == (0, 2)
@@ -204,7 +204,7 @@ def test_prune_drops_far_cartesian_pair():
     assert circle_pairs.tolist() == [[0, 1]]
 
 
-def test_prune_keeps_near_cartesian_pair():
+def test_prune_keeps_near_boxed_pair():
     lay = Layout(np.array([[-0.2, 0.0], [0.2, 0.0]]), 0.0)
     circle_pairs, _ = prune_pairs(lay, mask(2), 0.01, 0.3, EMPTY)
     assert circle_pairs.tolist() == [[0, 1]]

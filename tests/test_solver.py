@@ -1,6 +1,7 @@
 """Augmented Lagrangian solver on problems with known optima."""
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -186,8 +187,13 @@ def test_the_penalty_grows_only_by_the_growth_factor(monkeypatch):
     real_solve, real_merit = engine.solve, NlpProblem.augmented_lagrangian
 
     def recording_solve(*args):
+        # Reported as iteration_limit, a converged solve does not end the
+        # replication at a fixed point, so every iteration runs.
         solves.append([])
-        return real_solve(*args)
+        result = real_solve(*args)
+        if result.status == CONVERGED:
+            result = dataclasses.replace(result, status=ITERATION_LIMIT)
+        return result
 
     def recording_merit(self, z, multipliers, penalty):
         solves[-1].append(penalty)
